@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    PSD_TOL,
     IntervalSet,
     Projector,
     SpectralDecomposition,
@@ -32,8 +33,6 @@ from .core import (
     shift_set,
     spectral_projector,
 )
-
-PSD_TOL = 1e-10
 
 # Critical ratios: a semidefinite perturbation admits the generic bound up to
 # ||V||/d < c_crit_sem = 1 - (1 - sqrt(3)/pi)^3; the bound function N lives on

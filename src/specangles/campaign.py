@@ -55,6 +55,19 @@ class ConfigError(ValueError):
     """Campaign config rejected: unknown key, bad type, or bad value."""
 
 
+def read_config(path: str) -> dict:
+    """The raw JSON object of a config file; a parse error is reported as
+    `path:line: message`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}:{err.lineno}: {err.msg}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return raw
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     trials: int
@@ -116,14 +129,7 @@ class CampaignConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "CampaignConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{path}:{err.lineno}: {err.msg}") from err
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     def tol_for(self, bound_name: str) -> float:
         return self.tolerances.get(
@@ -185,9 +191,10 @@ def _build_instance(name: str, n: int, v_ratio: float, seed: int) -> Perturbatio
 
 
 def _measure_trial(
-    config: CampaignConfig, name: str, inst: PerturbationInstance, seed: int
+    config: CampaignConfig, name: str, n: int, v_ratio: float, seed: int
 ) -> TrialReport:
     started = time.perf_counter()
+    inst = _build_instance(name, n, v_ratio, seed)
     path = eigh_many([inst.perturbed(t) for t in T_GRID[1:]])
     decs = dict(zip(T_GRID, [inst.dec_a, *path]))
     projectors = {
@@ -273,8 +280,7 @@ def run_campaign(config: CampaignConfig) -> Iterator[TrialReport]:
         pending.append((seed, name, n, v_ratio))
     pending.sort(key=lambda item: item[0])
     for seed, name, n, v_ratio in pending:
-        inst = _build_instance(name, n, v_ratio, seed)
-        yield _measure_trial(config, name, inst, seed)
+        yield _measure_trial(config, name, n, v_ratio, seed)
 
 
 def rows_of(reports: Iterable[TrialReport]) -> Iterator[BoundRow]:

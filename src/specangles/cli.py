@@ -31,7 +31,14 @@ from .bounds import (
     truncate_digits,
     _kappa_equation,
 )
-from .campaign import CampaignConfig, ConfigError, rows_csv, rows_jsonl, run_campaign
+from .campaign import (
+    CampaignConfig,
+    ConfigError,
+    read_config,
+    rows_csv,
+    rows_jsonl,
+    run_campaign,
+)
 from .geometry import angle_report
 from .instances import sharpness_pair
 from .partitions import optimize
@@ -62,7 +69,7 @@ def _env_tol() -> float | None:
     return value
 
 
-def _chosen_tol(flag_value: float | None, fallback: float) -> float:
+def _chosen_tol(flag_value: float | None, fallback: float | None) -> float | None:
     if flag_value is not None:
         if flag_value < 0:
             raise ConfigError("--tol must be nonnegative")
@@ -106,12 +113,10 @@ def cmd_constants(args) -> int:
 
 def cmd_kappa(args) -> int:
     kappa = kappa_solve()
+    # kappa is where the two arcsine pieces meet, so the equation's residual
+    # is also the gap between the pieces
     residual = abs(_kappa_equation(kappa))
     inside = N_BREAK_2 < kappa < KAPPA_SUP
-    continuity_gap = abs(
-        math.asin((math.pi / 2.0) * (1.0 - math.sqrt(1.0 - 2.0 * kappa)))
-        - 1.5 * math.asin((math.pi / 2.0) * (1.0 - (1.0 - 2.0 * kappa) ** (1.0 / 3.0)))
-    )
     ok = residual <= 1e-12 and inside
     if args.format == "json":
         text = json.dumps(
@@ -120,7 +125,7 @@ def cmd_kappa(args) -> int:
                 "residual": residual,
                 "interval": [N_BREAK_2, KAPPA_SUP],
                 "inside_interval": inside,
-                "piece_gap": continuity_gap,
+                "piece_gap": residual,
                 "pass": ok,
             },
             indent=2,
@@ -146,7 +151,7 @@ def cmd_kappa(args) -> int:
                 f"residual {residual:.3e}",
                 f"interval ({N_BREAK_2:.15f}, {KAPPA_SUP:.15f})"
                 + ("  contains kappa" if inside else "  MISSES kappa"),
-                f"pieces meet within {continuity_gap:.3e}",
+                f"pieces meet within {residual:.3e}",
                 "pass" if ok else "FAIL",
             ]
         )
@@ -312,13 +317,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{args.config}:{err.lineno}: {err.msg}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: config must be a JSON object")
+    raw = read_config(args.config)
     if args.seed_base is not None:
         raw.pop("seeds", None)
         raw["seed_base"] = args.seed_base
@@ -326,10 +325,8 @@ def cmd_verify(args) -> int:
         raw["trials"] = args.trials
         if "seeds" in raw:
             raw["seeds"] = raw["seeds"][: args.trials]
-    tol = args.tol if args.tol is not None else _env_tol()
+    tol = _chosen_tol(args.tol, None)
     if tol is not None:
-        if tol < 0:
-            raise ConfigError("--tol must be nonnegative")
         raw.setdefault("tolerances", {})["default"] = tol
     config = CampaignConfig.from_dict(raw)
     reports = list(run_campaign(config))
@@ -414,13 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

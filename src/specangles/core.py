@@ -19,6 +19,7 @@ from ._jacobi import jacobi_sweeps
 MAX_SWEEPS = 100
 EIGH_TOL_FACTOR = 1e-13
 MEMBERSHIP_TOL_FACTOR = 1e-8
+PSD_TOL = 1e-10
 
 Selection = Union["IntervalSet", Sequence[int]]
 

@@ -9,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Projector, SymmetricMatrix, eigh, eigh_many, is_psd, operator_norm
+from .core import PSD_TOL, Projector, SymmetricMatrix, eigh_many, operator_norm
 
-PSD_TOL = 1e-10
 BASIS_THRESHOLD = 1e-12
 ORTHO_TOL = 1e-10
 
@@ -93,12 +92,17 @@ def sin_two_theta_norm(p: Projector, q: Projector) -> float:
     return angle_report(p, q).sin2_norm
 
 
-def reflection_defect(v: SymmetricMatrix, q: Projector) -> float:
-    """||V - KVK|| for the reflection K = 2Q - I; at most ||V|| when V >= 0."""
+def _reflected(v: SymmetricMatrix, q: Projector) -> np.ndarray:
+    # KVK for the reflection K = 2Q - I.
     if v.dim != q.dim:
         raise ValueError("dimension mismatch")
     k = 2.0 * q.matrix.entries - np.eye(v.dim)
-    return operator_norm(SymmetricMatrix(v.entries - k @ v.entries @ k))
+    return k @ v.entries @ k
+
+
+def reflection_defect(v: SymmetricMatrix, q: Projector) -> float:
+    """||V - KVK|| for the reflection K = 2Q - I; at most ||V|| when V >= 0."""
+    return operator_norm(SymmetricMatrix(v.entries - _reflected(v, q)))
 
 
 def _pivoted_basis(columns: np.ndarray, rank: int) -> np.ndarray:
@@ -145,28 +149,25 @@ def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:
     )
 
 
-def _rect_norm(w: np.ndarray) -> float:
-    # Largest singular value via the Gram matrix of the thinner side.
-    gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
-    top = float(eigh(SymmetricMatrix(gram)).eigenvalues[-1])
-    return math.sqrt(max(top, 0.0))
-
-
 def psd_block_bounds(v: SymmetricMatrix, q: Projector) -> tuple[float, float, float]:
     """The chain 2||W|| <= ||V|| <= 2*max(||V0||, ||V1||), valid for PSD V.
 
     Returns the triple (2||W||, ||V||, 2*max(||V0||, ||V1||)); V failing the
     PSD test (tol 1e-10) raises, since indefinite V can break the left
-    inequality.
+    inequality. No block basis is built: with K = 2Q - I, in any basis
+    adapted to Ran Q, V - KVK = 2*[[0, W], [W^T, 0]] and V + KVK =
+    2*diag(V0, V1), so the triple is (||V - KVK||, ||V||, ||V + KVK||), all
+    three from one stacked solve.
     """
-    if not is_psd(v, PSD_TOL):
-        raise ValueError("V must be positive semidefinite")
-    split = block_split(v, q)
-    return (
-        2.0 * _rect_norm(split.w),
-        operator_norm(v),
-        2.0 * max(operator_norm(split.v0), operator_norm(split.v1)),
+    kvk = _reflected(v, q)
+    if q.rank == 0 or q.rank == q.dim:
+        raise ValueError("projector must have nontrivial rank for a block split")
+    dec_v, dec_off, dec_diag = eigh_many(
+        [v, SymmetricMatrix(v.entries - kvk), SymmetricMatrix(v.entries + kvk)]
     )
+    if float(dec_v.eigenvalues[0]) < -PSD_TOL:
+        raise ValueError("V must be positive semidefinite")
+    return dec_off.norm, dec_v.norm, dec_diag.norm
 
 
 def compression_2x2(v: SymmetricMatrix, f: np.ndarray, g: np.ndarray) -> SymmetricMatrix:

@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
 from specangles import (
+    campaign,
     BoundRow,
     CampaignConfig,
     ConfigError,
@@ -170,6 +172,28 @@ class TestRunCampaign:
     def test_reports_are_reproducible(self, reports):
         again = rows_jsonl(run_campaign(small_config()))
         assert rows_jsonl(reports) == again
+
+    def test_elapsed_includes_instance_build(self, reports, monkeypatch):
+        build = campaign._build_instance
+
+        def slow_build(*args):
+            time.sleep(0.05)
+            return build(*args)
+
+        monkeypatch.setattr(campaign, "_build_instance", slow_build)
+        slow = list(run_campaign(small_config()))
+        assert all(r.elapsed_s >= 0.05 for r in slow)
+        assert rows_jsonl(slow) == rows_jsonl(reports)
+
+    def test_kernel_calls_per_trial(self, kernel_calls):
+        # Gram-based plans: Gram matrix, [A, V], the path, the angles;
+        # rank-one builds V without a Gram matrix
+        cfg = small_config(plans=["convex-separated", "doubly-interleaved", "rank-one"], trials=6)
+        counts = []
+        for _ in run_campaign(cfg):
+            counts.append(len(kernel_calls))
+            kernel_calls.clear()
+        assert counts == [4, 4, 3, 4, 4, 3]
 
 
 class TestSerialization:

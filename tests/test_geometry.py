@@ -135,11 +135,51 @@ class TestPsdBlockBounds:
             assert lower <= middle + 1e-10
             assert middle <= upper + 1e-10
 
+    def test_matches_explicit_blocks(self):
+        # criterion 09's draws; the blocks are taken in the Haar basis whose
+        # leading columns span Ran Q, and normed by numpy's SVD
+        for trial in range(300):
+            n = 2 + trial % 9
+            rng = PortableRng(7000 + trial)
+            g = rng.gaussians(n * n).reshape(n, n)
+            v = SymmetricMatrix(g @ g.T)
+            basis = rng.haar_orthogonal(n)
+            rank = 1 + trial % (n - 1)
+            b0, b1 = basis[:, :rank], basis[:, rank:]
+            q = Projector(SymmetricMatrix(b0 @ b0.T), rank=rank)
+            m = v.entries
+            expected = (
+                2.0 * np.linalg.norm(b0.T @ m @ b1, 2),
+                np.linalg.norm(m, 2),
+                2.0 * max(np.linalg.norm(b0.T @ m @ b0, 2), np.linalg.norm(b1.T @ m @ b1, 2)),
+            )
+            got = psd_block_bounds(v, q)
+            scale = 1.0 + expected[1]
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-12 * scale
+
+    def test_one_kernel_call_per_triple(self, kernel_calls):
+        v = random_psd(6, 61)
+        psd_block_bounds(v, haar_projector(6, 2, 62))
+        assert kernel_calls == [(3, 6, 6)]
+
     def test_rejects_indefinite(self):
         v = SymmetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         q = Projector(SymmetricMatrix.diagonal([1.0, 0.0]), rank=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive semidefinite"):
             psd_block_bounds(v, q)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            psd_block_bounds(random_psd(4, 63), haar_projector(5, 2, 64))
+
+    def test_rejects_rank_extremes(self):
+        v = random_psd(4, 65)
+        for q in (
+            Projector(SymmetricMatrix.zero(4), rank=0),
+            Projector(SymmetricMatrix.identity(4), rank=4),
+        ):
+            with pytest.raises(ValueError, match="nontrivial rank"):
+                psd_block_bounds(v, q)
 
     def test_indefinite_breaks_lower_inequality(self):
         # the same matrix split by hand: 2||W|| = 2 exceeds ||V|| = 1, so the
