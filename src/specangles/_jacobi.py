@@ -5,9 +5,11 @@ One sweep visits every pivot pair (p, q), p < q, once, in the round-robin
 disjoint pairs (an odd n sits one index out per round). The disjoint
 rotations of a round commute, so a round is applied to the whole stack at
 once as the orthogonal similarity J^T A J with one block rotation J per
-matrix. Everything is plain numpy on fixed orderings, so the result is a
-pure function of the input matrix: a matrix gives the same bits whether it
-is solved alone or inside a stack.
+matrix. Every sweep rotates every nonzero pivot: a skipped pivot would still
+pay for its round's matrix products, so there is no threshold schedule.
+Everything is plain numpy on fixed orderings, so the result is a pure function
+of the input matrix: a matrix gives the same bits whether it is solved alone
+or inside a stack.
 """
 
 from __future__ import annotations
@@ -16,14 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-THRESHOLD_SWEEPS = 3
-
 
 @lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """Per round: the number of pivot pairs (p, q), p < q; the flat n*n
-    offsets of their entries (p,p), then (q,q), (p,q) and (q,p), one block
-    of offsets each; and the flat offsets of the unpaired diagonal entries."""
+def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+    """Per round, the flat n*n offsets of its pivot pairs' entries (p,p), then
+    (q,q), (p,q) and (q,p), one block of offsets each, pairs sorted by p."""
     m = n + n % 2
     players = list(range(m))
     rounds = []
@@ -32,13 +31,10 @@ def _round_robin(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         pairs = sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n)
         p = np.array([a for a, _ in pairs], dtype=np.intp)
         q = np.array([b for _, b in pairs], dtype=np.intp)
-        free = np.setdiff1d(np.arange(n), np.concatenate([p, q]))
         pivots = np.concatenate([p * n + p, q * n + q, p * n + q, q * n + p])
-        free = free * n + free
         # shared by every caller through the cache
         pivots.setflags(write=False)
-        free.setflags(write=False)
-        rounds.append((len(pairs), pivots, free))
+        rounds.append(pivots)
         players = [players[0], players[-1]] + players[1:-1]
     return tuple(rounds)
 
@@ -50,15 +46,16 @@ def _off_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(a[:, ~np.eye(n, dtype=bool)]), axis=1))
 
 
-def _rotate_round(a, vec, pairs, pivots, free, thresh):
+def _rotate_round(a, vec, pivots):
     """Apply one round of disjoint rotations to the stacks `a` and `vec`.
 
-    Pivots with |a_pq| <= thresh (always including exact zeros) get the
-    identity rotation. The tangent is formed as y / (x + sign(x)*hypot(x, y))
-    with x = a_qq - a_pp and y = 2*a_pq, which stays in [-1, 1] and cannot
+    Exact zero pivots get the identity rotation, which avoids 0/0 when also
+    a_pp == a_qq. The tangent is formed as y / (x + sign(x)*hypot(x, y)) with
+    x = a_qq - a_pp and y = 2*a_pq, which stays in [-1, 1] and cannot
     overflow however small the pivot is.
     """
     k, n, _ = a.shape
+    pairs = len(pivots) // 4
     entries = a.reshape(k, n * n)[:, pivots[: 3 * pairs]]
     app = entries[:, :pairs]
     aqq = entries[:, pairs : 2 * pairs]
@@ -66,12 +63,13 @@ def _rotate_round(a, vec, pairs, pivots, free, thresh):
     x = aqq - app
     y = 2.0 * apq
     den = x + np.copysign(np.hypot(x, y), x)
-    # A skipped pivot divides by infinity, giving t = 0 and so c = 1, s = 0.
-    t = y / np.where(np.abs(apq) > thresh, den, np.inf)
+    # A zero pivot divides by infinity, giving t = 0 and so c = 1, s = 0.
+    t = y / np.where(apq != 0.0, den, np.inf)
     c = 1.0 / np.hypot(1.0, t)
     s = t * c
+    # The identity as a strided unit diagonal: tiling np.eye costs more.
     rot = np.zeros((k, n * n))
-    rot[:, free] = 1.0
+    rot[:, :: n + 1] = 1.0
     rot[:, pivots] = np.concatenate([c, c, s, -s], axis=1)
     rot = rot.reshape(k, n, n)
     a = rot.transpose(0, 2, 1) @ a @ rot
@@ -90,12 +88,10 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
     """Diagonalize each symmetric matrix of the stack `a` (k, n, n) in place,
     accumulating its rotations into the matching slice of `vec`.
 
-    Each matrix keeps its own schedule: the first three sweeps skip pivots
-    below 0.2*off/n^2 of that matrix, later sweeps rotate every nonzero
-    pivot, and a matrix leaves the stack once its off-diagonal norm is at
-    most its own `tol[i]` or it has done `max_sweeps` sweeps. Returns
-    (sweeps, off) per matrix; the caller decides whether off <= tol counts
-    as convergence.
+    Every sweep rotates every nonzero pivot of every matrix still in the
+    stack; a matrix leaves the stack once its off-diagonal norm is at most its
+    own `tol[i]` or it has done `max_sweeps` sweeps. Returns (sweeps, off) per
+    matrix; the caller decides whether off <= tol counts as convergence.
     """
     k, n, _ = a.shape
     sweeps = np.zeros(k, dtype=np.int64)
@@ -105,11 +101,8 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
     while active.size:
         work_a = a[active]
         work_v = vec[active]
-        thresh = np.where(
-            sweeps[active] < THRESHOLD_SWEEPS, 0.2 * off[active] / (n * n), 0.0
-        )[:, None]
-        for pairs, pivots, free in rounds:
-            work_a, work_v = _rotate_round(work_a, work_v, pairs, pivots, free, thresh)
+        for pivots in rounds:
+            work_a, work_v = _rotate_round(work_a, work_v, pivots)
         a[active] = work_a
         vec[active] = work_v
         sweeps[active] += 1

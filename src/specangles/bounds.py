@@ -47,6 +47,9 @@ N_BREAK_1 = 4.0 / (math.pi**2 + 4.0)
 N_BREAK_2 = 4.0 * (math.pi**2 - 2.0) / math.pi**4
 KAPPA_SUP = 2.0 * (math.pi - 1.0) / math.pi**2
 
+# Overshoot past +/-1 that arcsin arguments may carry from rounding.
+ASIN_SLACK = 1e-12
+
 CONVEX_SEPARATED = "convex-separated"
 INTERLEAVED = "interleaved"
 
@@ -56,11 +59,11 @@ class NoBoundKnownError(ValueError):
     problem whether one holds there); nothing is fabricated."""
 
 
-def _asin_guarded(arg: float, slack: float = 1e-12) -> float:
+def _asin_guarded(arg: float) -> float:
     # Absorb 1-ulp overshoot of arguments that are exactly 1 in exact math.
-    if 1.0 < arg <= 1.0 + slack:
+    if 1.0 < arg <= 1.0 + ASIN_SLACK:
         arg = 1.0
-    if -1.0 - slack <= arg < -1.0:
+    if -1.0 - ASIN_SLACK <= arg < -1.0:
         arg = -1.0
     return math.asin(arg)
 

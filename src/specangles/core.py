@@ -118,7 +118,8 @@ class SpectralDecomposition:
 
 
 def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition by round-robin Jacobi with threshold sweeps.
+    """Full eigendecomposition by round-robin Jacobi, every sweep rotating
+    every nonzero pivot.
 
     Converged when the off-diagonal Frobenius norm drops below
     1e-13 * (1 + ||M||_F); hard cap of 100 sweeps. Ordering is ascending with
@@ -133,9 +134,8 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     """Eigendecompositions of several same-size matrices in one kernel call.
 
     Each matrix gets exactly the decomposition `eigh` gives it alone: its own
-    tolerance, sweep cap and threshold schedule, and the same ordering and
-    sign conventions. Raises ConvergenceError if any matrix misses its
-    tolerance.
+    tolerance and sweep cap, and the same ordering and sign conventions.
+    Raises ConvergenceError if any matrix misses its tolerance.
     """
     if not ms:
         return []

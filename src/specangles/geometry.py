@@ -9,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PSD_TOL, Projector, SymmetricMatrix, eigh_many, operator_norm
+from .core import PSD_TOL, Projector, SymmetricMatrix, eigh, eigh_many, operator_norm
 
-BASIS_THRESHOLD = 1e-12
 ORTHO_TOL = 1e-10
 
 
@@ -105,37 +104,20 @@ def reflection_defect(v: SymmetricMatrix, q: Projector) -> float:
     return operator_norm(SymmetricMatrix(v.entries - _reflected(v, q)))
 
 
-def _pivoted_basis(columns: np.ndarray, rank: int) -> np.ndarray:
-    # Pivoted Gram-Schmidt with one re-orthogonalization pass per vector.
-    work = np.array(columns, dtype=float)
-    n = work.shape[0]
-    basis = np.zeros((n, rank))
-    for k in range(rank):
-        norms = np.linalg.norm(work, axis=0)
-        pivot = int(np.argmax(norms))
-        if norms[pivot] < BASIS_THRESHOLD:
-            raise ValueError("matrix rank below requested basis size")
-        vec = work[:, pivot].copy()
-        for _ in range(2):
-            vec -= basis[:, :k] @ (basis[:, :k].T @ vec)
-        vec /= np.linalg.norm(vec)
-        basis[:, k] = vec
-        work -= np.outer(vec, vec @ work)
-    return basis
-
-
 def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:
     """Split V into blocks along Ran Q and its complement.
 
-    The basis comes from pivoted Gram-Schmidt on the columns of the projector
-    (threshold 1e-12), so it is deterministic for identical input.
+    The basis is the eigenvector basis of Q from `eigh`: with eigenvalues
+    ascending, the last rank(Q) columns span Ran Q and the first n - rank(Q)
+    span its complement. It is deterministic for identical input.
     """
     if v.dim != q.dim:
         raise ValueError("dimension mismatch")
     if q.rank == 0 or q.rank == q.dim:
         raise ValueError("projector must have nontrivial rank for a block split")
-    b0 = _pivoted_basis(q.matrix.entries, q.rank)
-    b1 = _pivoted_basis(q.complement().matrix.entries, q.dim - q.rank)
+    vectors = eigh(q.matrix).eigenvectors
+    b0 = vectors[:, q.dim - q.rank :]
+    b1 = vectors[:, : q.dim - q.rank]
     basis = np.hstack([b0, b1])
     gram_residual = float(np.max(np.abs(basis.T @ basis - np.eye(q.dim))))
     if gram_residual > 1e-8:

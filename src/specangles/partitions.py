@@ -22,6 +22,15 @@ LAMBDA_MAX = 2.0 / math.pi
 PRODUCT_TOL = 1e-8
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Search effort of optimize(): two-level seed levels per part count, coarse
+# scan points and golden-section steps per pair move, descent cycles per seed,
+# and the number of best seeds refined besides the best seed of each count.
+SEED_SCAN = 17
+PAIR_GRID = 25
+GOLDEN_ITERS = 48
+DESCENT_CYCLES = 8
+POLISH_TOP = 6
+
 
 @dataclass(frozen=True)
 class PartitionPlan:
@@ -77,16 +86,14 @@ def make_plan(x: float, lambdas) -> PartitionPlan:
         raise ValueError(
             f"infeasible partition: product {product!r} vs required {1.0 - x!r}"
         )
-    if lams:
-        j = max(range(len(lams)), key=lambda k: lams[k])
-        rest = math.prod(1.0 - lams[k] for k in range(len(lams)) if k != j)
-        fixed = 1.0 - (1.0 - x) / rest
-        lams[j] = min(max(fixed, 0.0), LAMBDA_MAX)
+    if not lams:
+        if x != 0.0:
+            raise ValueError("empty partition only represents x = 0")
+    else:
+        pinned = _renormalize(lams, x)
         final = math.prod(1.0 - lam for lam in lams)
-        if abs(final - (1.0 - x)) > 1e-10:
+        if not pinned or abs(final - (1.0 - x)) > 1e-10:
             raise ValueError("partition is not exactly feasible within [0, 2/pi]")
-    elif x != 0.0:
-        raise ValueError("empty partition only represents x = 0")
     out = tuple(lams)
     return PartitionPlan(x=x, lambdas=out, objective=_objective(out))
 
@@ -107,12 +114,12 @@ def _pair_objective(u: float, r: float) -> float:
     return 0.5 * (math.asin(a) + math.asin(b))
 
 
-def _golden_min(f, lo: float, hi: float, iters: int) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -123,7 +130,7 @@ def _golden_min(f, lo: float, hi: float, iters: int) -> float:
             fd = f(d)
     return 0.5 * (a + b)
 
-def _pair_move(lams: list[float], i: int, j: int, grid: int, iters: int) -> bool:
+def _pair_move(lams: list[float], i: int, j: int) -> bool:
     # The pair objective can be bimodal around the symmetric point, so a
     # coarse scan picks the basin before golden-section refines it.
     r = (1.0 - lams[i]) * (1.0 - lams[j])
@@ -132,9 +139,9 @@ def _pair_move(lams: list[float], i: int, j: int, grid: int, iters: int) -> bool
         return False
     best_u = 1.0 - lams[i]
     best_f = _pair_objective(best_u, r)
-    step = (hi - lo) / (grid - 1)
+    step = (hi - lo) / (PAIR_GRID - 1)
     scan_u, scan_f = best_u, best_f
-    for k in range(grid):
+    for k in range(PAIR_GRID):
         u = lo + k * step
         fu = _pair_objective(u, r)
         if fu < scan_f:
@@ -143,7 +150,6 @@ def _pair_move(lams: list[float], i: int, j: int, grid: int, iters: int) -> bool
         lambda v: _pair_objective(v, r),
         max(lo, scan_u - step),
         min(hi, scan_u + step),
-        iters,
     )
     fu = _pair_objective(u, r)
     if fu >= best_f - 1e-15:
@@ -176,13 +182,13 @@ def _equal_split(x: float, n: int) -> list[float] | None:
     return [lam] * n
 
 
-def _two_level_seeds(x: float, n: int, scan: int) -> list[list[float]]:
+def _two_level_seeds(x: float, n: int) -> list[list[float]]:
     # k steps pinned at a common value a, the rest equal at the b solving the
     # product constraint; scan a over the admissible range.
     out = []
     for k in range(1, n):
-        for idx in range(1, scan + 1):
-            a = LAMBDA_MAX * idx / (scan + 1)
+        for idx in range(1, SEED_SCAN + 1):
+            a = LAMBDA_MAX * idx / (SEED_SCAN + 1)
             rem = (1.0 - x) / (1.0 - a) ** k
             if not (1.0 - LAMBDA_MAX) ** (n - k) <= rem <= 1.0:
                 continue
@@ -191,16 +197,7 @@ def _two_level_seeds(x: float, n: int, scan: int) -> list[list[float]]:
     return out
 
 
-def optimize(
-    x: float,
-    n_max: int = 8,
-    *,
-    scan: int = 17,
-    grid: int = 25,
-    golden_iters: int = 48,
-    cycles: int = 8,
-    polish_top: int = 6,
-) -> PartitionPlan:
+def optimize(x: float, n_max: int = 8) -> PartitionPlan:
     """Numerically approach the partition infimum for ratio x.
 
     Seeds every part count n = 1..n_max with the equal split plus two-level
@@ -223,7 +220,7 @@ def optimize(
         equal = _equal_split(x, n)
         if equal is not None:
             seeds.append(equal)
-        seeds.extend(_two_level_seeds(x, n, scan))
+        seeds.extend(_two_level_seeds(x, n))
     if not seeds:
         raise ValueError(f"no feasible partition with at most {n_max} parts")
 
@@ -234,7 +231,7 @@ def optimize(
     chosen: list[list[float]] = []
     seen_n = set()
     for lams in seeds:
-        top = len(chosen) < polish_top
+        top = len(chosen) < POLISH_TOP
         first_of_n = len(lams) not in seen_n
         if top or first_of_n:
             chosen.append(lams)
@@ -245,13 +242,11 @@ def optimize(
     for lams in chosen:
         lams = list(lams)
         current = _objective(lams)
-        for _ in range(cycles):
+        for _ in range(DESCENT_CYCLES):
             before = current
             for i in range(len(lams) - 1):
                 for j in range(i + 1, len(lams)):
-                    if _pair_move(lams, i, j, grid, golden_iters) and not _renormalize(
-                        lams, x
-                    ):
+                    if _pair_move(lams, i, j) and not _renormalize(lams, x):
                         raise AssertionError("refinement left the feasible set")
             current = _objective(lams)
             if before - current < 1e-13:

@@ -10,9 +10,10 @@ with seed s is
 
 (Steele, Lea, Flood 2014; the counter form is the stateless reading of the
 usual "advance by the golden gamma, then mix" loop.) Uniform doubles take the
-top 53 bits, gaussians come from Box-Muller pairs. Everything downstream of a
-seed is therefore reproducible across platforms and implementations up to
-1-ulp libm noise in log/cos/sin.
+top 53 bits, gaussians come from Box-Muller pairs. The draws are therefore
+reproducible across platforms up to 1-ulp libm noise in log/cos/sin. Matrices
+built from them are not always: `haar_orthogonal` goes through LAPACK `qr`, so
+instances are bit-identical only under one BLAS/LAPACK build.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ independent oracle, interval-set arithmetic, and spectral projectors."""
 import numpy as np
 import pytest
 
+import specangles._jacobi as _jacobi
 import specangles.core as core
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,21 @@ class TestEigh:
         oracle = np.linalg.eigvalsh(m)
         assert np.abs(dec.eigenvalues - oracle).max() < 1e-12 * (1.0 + np.abs(oracle).max())
         assert np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(9)).max() < 1e-12
+
+
+class TestJacobiKernel:
+    def test_small_pivots_rotate_in_the_first_sweep(self):
+        # Two 2x2 blocks: every pivot is zero except (0, 1) and (2, 3), which
+        # share the last round of a sweep. The 1e-3 coupling is far below
+        # the off-diagonal norm, yet one sweep annihilates both exactly.
+        a = np.zeros((1, 4, 4))
+        a[0, :2, :2] = [[1.0, 1.0], [1.0, 2.0]]
+        a[0, 2:, 2:] = [[3.0, 1e-3], [1e-3, 4.0]]
+        vec = np.eye(4)[None].copy()
+        tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
+        sweeps, off = _jacobi.jacobi_sweeps(a, vec, tol, 100)
+        assert sweeps.tolist() == [1]
+        assert off.tolist() == [0.0]
 
 
 class TestEighMany:

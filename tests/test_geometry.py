@@ -117,6 +117,29 @@ class TestBlockSplit:
         scale = 1.0 + np.abs(v.entries).max()
         assert np.abs(split.reassemble().entries - v.entries).max() < 1e-10 * scale
 
+    def test_basis_and_norms_match_block_lemma(self):
+        # criterion 09's draws: the split's bases span Ran Q and its
+        # complement, and its block norms are the block lemma's triple
+        for trial in range(300):
+            n = 2 + trial % 9
+            rng = PortableRng(7000 + trial)
+            g = rng.gaussians(n * n).reshape(n, n)
+            v = SymmetricMatrix(g @ g.T)
+            cols = rng.haar_orthogonal(n)[:, : 1 + trial % (n - 1)]
+            q = Projector(SymmetricMatrix(cols @ cols.T), rank=cols.shape[1])
+            split = block_split(v, q)
+            b0, b1 = split.basis[:, : q.rank], split.basis[:, q.rank :]
+            assert np.abs(q.matrix.entries @ b0 - b0).max() <= 1e-12
+            assert np.abs(q.matrix.entries @ b1).max() <= 1e-12
+            lower, middle, upper = psd_block_bounds(v, q)
+            scale = 1.0 + middle
+            w_norm = np.linalg.norm(split.w, 2)
+            diag_norm = max(
+                np.linalg.norm(split.v0.entries, 2), np.linalg.norm(split.v1.entries, 2)
+            )
+            assert abs(2.0 * w_norm - lower) <= 1e-12 * scale
+            assert abs(2.0 * diag_norm - upper) <= 1e-12 * scale
+
     def test_rank_extremes_rejected(self):
         v = random_psd(4, 34)
         with pytest.raises(ValueError):
