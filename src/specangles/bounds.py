@@ -7,8 +7,8 @@ The subspace tracked is the one belonging to omega_t, the part of
 spec(A + tV) trapped in the one-sided enlargement sigma + [0, t*||V||].
 This module provides the enclosure and gap-persistence facts, the angle
 bounds (favorable-geometry, sin-2-theta, arcsin corollary, generic N, log
-integral), the piecewise bound function N with its switchover root kappa,
-and the critical constants.
+integral) with angle_bounds deciding their hypotheses, the piecewise bound
+function N with its switchover root kappa, and the critical constants.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ KAPPA_SUP = 2.0 * (math.pi - 1.0) / math.pi**2
 
 # Overshoot past +/-1 that arcsin arguments may carry from rounding.
 ASIN_SLACK = 1e-12
+
+# Default margin tolerance: a bound passes while bound - measured >= -tol.
+DEFAULT_TOL = 1e-8
 
 CONVEX_SEPARATED = "convex-separated"
 INTERLEAVED = "interleaved"
@@ -134,6 +137,10 @@ class PerturbationInstance:
     def perturbed(self, t: float) -> SymmetricMatrix:
         return self.a + self.v.scaled(t)
 
+    def spectrum(self, t: float) -> SpectralDecomposition:
+        """Eigendecomposition of A + tV; at t = 0 the one build() computed."""
+        return self.dec_a if t == 0.0 else eigh(self.perturbed(t))
+
 
 @dataclass(frozen=True, eq=False)
 class OmegaComponent:
@@ -185,19 +192,20 @@ class LogBound:
 
 
 def enclosure_check(
-    inst: PerturbationInstance, t: float, tol: float = 1e-8, dec: SpectralDecomposition | None = None
+    inst: PerturbationInstance, t: float, dec: SpectralDecomposition | None = None
 ) -> EnclosureReport:
-    """Check spec(A+tV) against the one-sided enlargement spec(A)+[0, t*||V||]."""
+    """Check spec(A+tV) against the one-sided enlargement spec(A)+[0, t*||V||],
+    by default on inst.spectrum(t); the report passes at margins >= -DEFAULT_TOL."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if dec is None:
-        dec = eigh(inst.perturbed(t))
+        dec = inst.spectrum(t)
     allowed = shift_set(
         IntervalSet.from_points(inst.dec_a.eigenvalues), t * inst.v_norm
     )
     w = dec.eigenvalues
     margins = np.array([allowed.signed_margin(float(x)) for x in w])
-    return EnclosureReport(t=t, eigenvalues=w, margins=margins, tol=tol)
+    return EnclosureReport(t=t, eigenvalues=w, margins=margins, tol=DEFAULT_TOL)
 
 
 def gap_persistence(a: float, b: float, v_norm: float) -> IntervalSet:
@@ -221,14 +229,15 @@ def omega_component(
     sigma + [0, t*||V||] versus Sigma + [0, t*||V||]; those two sets are
     disjoint with gap >= d - t*||V||, so the assignment is unambiguous under
     the gap non-closing hypothesis. The component must keep exactly rank(sigma)
-    eigenvalues; anything else raises.
+    eigenvalues; anything else raises. `dec` defaults to inst.spectrum(t), so
+    t = 0 reuses build()'s solve of A.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if t * inst.v_norm >= inst.d:
         raise ValueError("gap non-closing hypothesis t*||V|| < d violated")
     if dec is None:
-        dec = eigh(inst.perturbed(t))
+        dec = inst.spectrum(t)
     shift = t * inst.v_norm
     lower = shift_set(inst.sigma, shift)
     upper = shift_set(inst.big_sigma, shift)
@@ -395,6 +404,22 @@ def bound_log(v_norm: float, d: float) -> LogBound:
         value=(math.pi / 4.0) * math.log(d / (d - v_norm)),
         below_half_pi=v_norm / d < LOG_THRESHOLD,
     )
+
+
+def angle_bounds(v_norm: float, d: float, convex: bool) -> dict[str, float]:
+    """The value of each angle bound whose hypothesis holds, in the order
+    favorable, corollary, generic, log; a bound whose hypothesis fails is
+    absent, never fabricated."""
+    values = {}
+    if convex and v_norm < d:
+        values["favorable"] = bound_favorable(v_norm, d)
+    if v_norm <= 2.0 * d / math.pi:
+        values["corollary"] = bound_corollary(v_norm, d)
+    if v_norm < C_CRIT_SEM * d:
+        values["generic"] = bound_generic(v_norm, d)
+    if v_norm < d:
+        values["log"] = bound_log(v_norm, d).value
+    return values
 
 
 def truncate_digits(x: float, digits: int) -> str:

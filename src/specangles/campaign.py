@@ -14,19 +14,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .bounds import (
-    C_CRIT_SEM,
     CONVEX_SEPARATED,
+    DEFAULT_TOL,
     PerturbationInstance,
-    bound_corollary,
-    bound_favorable,
-    bound_generic,
-    bound_log,
+    angle_bounds,
     bound_sin2theta,
     continuity_modulus,
     enclosure_check,
@@ -46,13 +42,25 @@ from .instances import (
 
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 PLAN_NAMES = (CONVEX_SEPARATED, DOUBLY_INTERLEAVED, "sharpness", "rank-one")
-DEFAULT_TOL = 1e-8
 
 ROW_FIELDS = ("instance_id", "t", "theta", "bound_name", "bound_value", "margin", "pass")
 
 
 class ConfigError(ValueError):
     """Campaign config rejected: unknown key, bad type, or bad value."""
+
+
+def checked_tol(value: float, name: str) -> float:
+    """A margin tolerance must be finite and nonnegative; NaN and inf would
+    fail or pass every margin."""
+    if not 0.0 <= value < float("inf"):
+        raise ConfigError(f"{name} must be finite and nonnegative")
+    return value
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but true is not a trial count or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def read_config(path: str) -> dict:
@@ -84,7 +92,7 @@ class CampaignConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         trials = raw.get("trials", 0)
-        if not isinstance(trials, int) or trials < 0:
+        if not _is_int(trials) or trials < 0:
             raise ConfigError("trials must be a nonnegative integer")
         ns_raw = raw.get("n", [8])
         ns = tuple(ns_raw) if isinstance(ns_raw, list) else (ns_raw,)
@@ -100,11 +108,11 @@ class CampaignConfig:
             raise ConfigError("give either seeds or seed_base, not both")
         if "seeds" in raw:
             seeds = tuple(raw["seeds"])
-            if len(seeds) != trials or not all(isinstance(s, int) for s in seeds):
+            if len(seeds) != trials or not all(_is_int(s) for s in seeds):
                 raise ConfigError("seeds must list exactly one integer per trial")
         else:
             base = raw.get("seed_base", 1)
-            if not isinstance(base, int):
+            if not _is_int(base):
                 raise ConfigError("seed_base must be an integer")
             seeds = tuple(base + k for k in range(trials))
         tol_raw = raw.get("tolerances", {})
@@ -115,9 +123,9 @@ class CampaignConfig:
         bad = set(tol_raw) - allowed
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
-        tolerances = {k: float(v) for k, v in tol_raw.items()}
-        if any(t < 0 for t in tolerances.values()):
-            raise ConfigError("tolerances must be nonnegative")
+        tolerances = {
+            k: checked_tol(float(v), f"tolerance {k!r}") for k, v in tol_raw.items()
+        }
         return cls(
             trials=trials,
             ns=ns,
@@ -230,19 +238,8 @@ def _measure_trial(
     convex = inst.geometry == CONVEX_SEPARATED
     value = bound_sin2theta(inst.v_norm, inst.d, convex)
     add("sin2theta", 1.0, value, value - endpoints.sin2_norm)
-
-    if inst.v_norm <= 2.0 * inst.d / math.pi:
-        value = bound_corollary(inst.v_norm, inst.d)
-        add("corollary", 1.0, value, value - theta)
-    if convex and inst.v_norm < inst.d:
-        value = bound_favorable(inst.v_norm, inst.d)
-        add("favorable", 1.0, value, value - theta)
-    if inst.v_norm < C_CRIT_SEM * inst.d:
-        value = bound_generic(inst.v_norm, inst.d)
-        add("generic", 1.0, value, value - theta)
-    if inst.v_norm < inst.d:
-        value = bound_log(inst.v_norm, inst.d).value
-        add("log", 1.0, value, value - theta)
+    for bound_name, value in angle_bounds(inst.v_norm, inst.d, convex).items():
+        add(bound_name, 1.0, value, value - theta)
 
     worst = min(
         continuity_modulus(inst.v_norm, inst.d, s, t) - angles[(s, t)].sines[0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,10 +20,8 @@ from .bounds import (
     N_BREAK_2,
     KAPPA_SUP,
     N_eval,
-    bound_corollary,
+    angle_bounds,
     bound_favorable,
-    bound_generic,
-    bound_log,
     constants,
     kappa_solve,
     omega_component,
@@ -34,6 +31,7 @@ from .bounds import (
 from .campaign import (
     CampaignConfig,
     ConfigError,
+    checked_tol,
     read_config,
     rows_csv,
     rows_jsonl,
@@ -64,16 +62,12 @@ def _env_tol() -> float | None:
         value = float(raw)
     except ValueError as err:
         raise ConfigError(f"TOOLKIT_TOL is not a decimal: {raw!r}") from err
-    if value < 0:
-        raise ConfigError("TOOLKIT_TOL must be nonnegative")
-    return value
+    return checked_tol(value, "TOOLKIT_TOL")
 
 
 def _chosen_tol(flag_value: float | None, fallback: float | None) -> float | None:
     if flag_value is not None:
-        if flag_value < 0:
-            raise ConfigError("--tol must be nonnegative")
-        return flag_value
+        return checked_tol(flag_value, "--tol")
     env = _env_tol()
     return fallback if env is None else env
 
@@ -159,23 +153,6 @@ def cmd_kappa(args) -> int:
     return 0 if ok else 1
 
 
-def _scan_cells(x: float) -> dict[str, float | None]:
-    cells: dict[str, float | None] = {
-        "favorable": None,
-        "corollary": None,
-        "generic": None,
-        "log": None,
-    }
-    if x < 1.0:
-        cells["favorable"] = bound_favorable(x, 1.0)
-        cells["log"] = bound_log(x, 1.0).value
-    if x <= 2.0 / math.pi:
-        cells["corollary"] = bound_corollary(x, 1.0)
-    if x < C_CRIT_SEM:
-        cells["generic"] = bound_generic(x, 1.0)
-    return cells
-
-
 def cmd_scan(args) -> int:
     if not (0.0 <= args.x_min < args.x_max <= 1.0):
         raise ConfigError("need 0 <= x-min < x-max <= 1")
@@ -186,7 +163,8 @@ def cmd_scan(args) -> int:
         for k in range(args.steps)
     ]
     names = ("favorable", "corollary", "generic", "log")
-    table = [(x, _scan_cells(x)) for x in xs]
+    # an absent bound keeps its column, as None
+    table = [(x, dict.fromkeys(names) | angle_bounds(x, 1.0, convex=True)) for x in xs]
     if args.format == "json":
         text = json.dumps(
             [{"x": x, **cells} for x, cells in table], indent=2
@@ -228,7 +206,7 @@ def cmd_sharpness(args) -> int:
     for k in range(count):
         v = start if count == 1 else start + k * (stop - start) / (count - 1)
         inst = sharpness_pair(v)
-        p0 = omega_component(inst, 0.0, dec=inst.dec_a).projector
+        p0 = omega_component(inst, 0.0).projector
         p1 = omega_component(inst, 1.0).projector
         theta = angle_report(p0, p1).max_angle
         bound = bound_favorable(inst.v_norm, inst.d)
@@ -272,8 +250,6 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if not 0.0 <= args.x <= C_CRIT_SEM:
-        raise ConfigError(f"x must lie in [0, {C_CRIT_SEM!r}]")
     plan = optimize(args.x, args.n_max)
     closed = N_eval(args.x / 2.0, constants().kappa)
     gap = abs(plan.objective - closed)

@@ -15,7 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import C_CRIT_SEM, PerturbationInstance, eigh, omega_component
+from .bounds import (
+    C_CRIT_SEM,
+    DEFAULT_TOL,
+    PerturbationInstance,
+    bound_corollary,
+    omega_component,
+)
 from .geometry import angle_report
 
 LAMBDA_MAX = 2.0 / math.pi
@@ -273,10 +279,7 @@ def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:
     if inst.v_norm >= inst.d:
         raise ValueError("gap non-closing hypothesis ||V|| < d violated")
 
-    projectors = []
-    for t in grid:
-        dec = inst.dec_a if t == 0.0 else eigh(inst.perturbed(t))
-        projectors.append(omega_component(inst, t, dec=dec).projector)
+    projectors = [omega_component(inst, t).projector for t in grid]
 
     lambdas = []
     caps: list[float | None] = []
@@ -284,9 +287,9 @@ def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:
     for j in range(len(grid) - 1):
         lam = (grid[j + 1] - grid[j]) * inst.v_norm / (inst.d - grid[j] * inst.v_norm)
         lambdas.append(lam)
-        caps.append(0.5 * math.asin(math.pi * lam / 2.0) if lam <= LAMBDA_MAX else None)
+        caps.append(bound_corollary(lam, 1.0) if lam <= LAMBDA_MAX else None)
         angles.append(angle_report(projectors[j], projectors[j + 1]).max_angle)
-        if caps[j] is not None and angles[j] > caps[j] + 1e-8:
+        if caps[j] is not None and angles[j] > caps[j] + DEFAULT_TOL:
             raise AssertionError(
                 f"step {j} angle {angles[j]!r} exceeds its local cap {caps[j]!r}"
             )

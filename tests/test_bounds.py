@@ -21,6 +21,7 @@ from specangles import (
     NoBoundKnownError,
     PerturbationInstance,
     SymmetricMatrix,
+    angle_bounds,
     angle_report,
     bound_corollary,
     bound_favorable,
@@ -261,6 +262,41 @@ class TestScalarBounds:
         )
 
 
+class TestAngleBounds:
+    # each hypothesis is tested at its own edge with ||V||/d exact (d = 1),
+    # and each value must be bit-equal to its own bound function
+
+    def test_corollary_edge(self):
+        edge = 2.0 / math.pi
+        assert angle_bounds(edge, 1.0, True)["corollary"] == bound_corollary(edge, 1.0)
+        assert "corollary" not in angle_bounds(math.nextafter(edge, 2.0), 1.0, True)
+
+    def test_generic_edge(self):
+        below = math.nextafter(C_CRIT_SEM, 0.0)
+        assert angle_bounds(below, 1.0, True)["generic"] == bound_generic(below, 1.0)
+        assert "generic" not in angle_bounds(C_CRIT_SEM, 1.0, True)
+
+    def test_unit_ratio_edge(self):
+        below = math.nextafter(1.0, 0.0)
+        assert angle_bounds(below, 1.0, True) == {
+            "favorable": bound_favorable(below, 1.0),
+            "log": bound_log(below, 1.0).value,
+        }
+        assert angle_bounds(1.0, 1.0, True) == {}
+
+    def test_all_four_in_table_order(self):
+        found = angle_bounds(0.3, 1.0, True)
+        assert list(found) == ["favorable", "corollary", "generic", "log"]
+        assert found["favorable"] == bound_favorable(0.3, 1.0)
+        assert found["corollary"] == bound_corollary(0.3, 1.0)
+        assert found["generic"] == bound_generic(0.3, 1.0)
+        assert found["log"] == bound_log(0.3, 1.0).value
+
+    def test_interleaved_geometry_has_no_favorable(self):
+        found = angle_bounds(0.3, 1.0, False)
+        assert list(found) == ["corollary", "generic", "log"]
+
+
 class TestConvexityCondition:
     def test_separated_hulls(self):
         sigma = IntervalSet(((0.0, 1.0),))
@@ -347,6 +383,20 @@ class TestPerturbationInstance:
             PerturbationInstance.build(
                 SymmetricMatrix.diagonal([1.0, 1.0, 3.0]), v, (0,)
             )
+
+
+class TestSpectrumAtZero:
+    def test_t_zero_reuses_the_build_solve(self, kernel_calls):
+        a, w = sharpness_matrices(0.6)
+        inst = PerturbationInstance.build(a, w, (0,))
+        kernel_calls.clear()
+        omega_component(inst, 0.0)
+        report = enclosure_check(inst, 0.0)
+        assert kernel_calls == []
+        assert inst.spectrum(0.0) is inst.dec_a
+        assert report.tol == 1e-8
+        omega_component(inst, 0.5)
+        assert kernel_calls == [(1, 2, 2)]
 
 
 class TestEnclosure:

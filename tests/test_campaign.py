@@ -73,6 +73,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"trials": 1, "tolerances": {"default": -1e-8}})
 
+    def test_non_finite_tolerances_rejected(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                CampaignConfig.from_dict({"trials": 1, "tolerances": {"default": value}})
+
+    def test_booleans_are_not_integers(self):
+        with pytest.raises(ConfigError, match="trials"):
+            CampaignConfig.from_dict({"trials": True})
+        with pytest.raises(ConfigError, match="seeds"):
+            CampaignConfig.from_dict({"trials": 1, "seeds": [True]})
+        with pytest.raises(ConfigError, match="seed_base"):
+            CampaignConfig.from_dict({"trials": 1, "seed_base": True})
+
     def test_tolerance_precedence(self):
         cfg = CampaignConfig.from_dict(
             {"trials": 1, "tolerances": {"default": 1e-6, "generic": 1e-3}}

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specangles
+from specangles import angle_bounds
 from specangles.cli import main
 
 
@@ -79,6 +85,15 @@ class TestScan:
         assert first["favorable"] == 0.0
         assert first["generic"] == 0.0
 
+    def test_cells_are_angle_bounds(self, capsys):
+        code, out, _ = run(capsys, "scan", "--steps", "41", "--format", "json")
+        assert code == 0
+        names = ["favorable", "corollary", "generic", "log"]
+        for row in json.loads(out):
+            found = angle_bounds(row["x"], 1.0, True)
+            assert list(row) == ["x", *names]
+            assert [row[name] for name in names] == [found.get(name) for name in names]
+
     def test_csv_blank_cells(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--x-min", "0.7", "--x-max", "0.95",
@@ -117,6 +132,14 @@ class TestSharpness:
         assert lines[0] == "v,theta,bound,margin"
         assert len(lines) == 6
         assert float(lines[1].split(",")[0]) == pytest.approx(0.1)
+
+    def test_non_finite_env_tol_is_config_error(self, capsys, monkeypatch):
+        # a NaN tolerance would be printed as NaN, which is not JSON
+        monkeypatch.setenv("TOOLKIT_TOL", "nan")
+        code, out, err = run(capsys, "sharpness", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "TOOLKIT_TOL" in err
 
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sharpness", "--grid", "0.5", "0.2", "3")
@@ -236,6 +259,44 @@ class TestVerify:
             capsys, "verify", write_config(tmp_path, payload), "--tol", "1e-6"
         )
         assert code == 0
+
+    def test_infinite_tol_flag_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "verify", write_config(tmp_path, BASE_CONFIG), "--tol", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_nan_config_tolerance_is_usage_error(self, capsys, tmp_path):
+        payload = dict(BASE_CONFIG, tolerances={"default": math.nan})
+        code, _, err = run(capsys, "verify", write_config(tmp_path, payload))
+        assert code == 2
+        assert "finite" in err
+
+    def test_rows_independent_of_hash_seed(self, tmp_path):
+        # the same config gives the same bytes in separate interpreters,
+        # whatever order their string hashing gives sets and dicts
+        payload = dict(
+            BASE_CONFIG,
+            plans=["convex-separated", "doubly-interleaved", "sharpness", "rank-one"],
+            n=5,
+        )
+        config = write_config(tmp_path, payload)
+        src = str(Path(specangles.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "TOOLKIT_TOL"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env["PYTHONHASHSEED"] = hash_seed
+            done = subprocess.run(
+                [sys.executable, "-m", "specangles", "verify", config, "--format", "json"],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append(done.stdout)
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))

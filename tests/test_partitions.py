@@ -164,6 +164,7 @@ class TestChainDemo:
         for j in range(4):
             lam = 0.25 * inst.v_norm / (inst.d - grid[j] * inst.v_norm)
             assert chain.lambdas[j] == pytest.approx(lam, abs=1e-14)
+            assert chain.local_caps[j] == 0.5 * math.asin(math.pi * chain.lambdas[j] / 2.0)
             assert chain.per_step_angles[j] <= chain.local_caps[j] + 1e-8
         assert chain.total_angle <= math.fsum(chain.per_step_angles) + 1e-10
 
