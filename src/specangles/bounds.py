@@ -76,7 +76,7 @@ class PerturbationInstance:
     """A perturbation problem: base matrix, PSD perturbation, and the index
     set singling out the tracked spectral component sigma of A. The derived
     fields (spectra as point sets, gap d, ||V||, hull geometry) are computed
-    once in build()."""
+    once in assemble()."""
 
     a: SymmetricMatrix
     v: SymmetricMatrix
@@ -97,6 +97,27 @@ class PerturbationInstance:
         sigma_indices,
         label: str = "",
     ) -> "PerturbationInstance":
+        """Instance from the matrices alone: A and V are solved in one kernel
+        call and the results handed to assemble()."""
+        dec_a, dec_v = eigh_many([a, v])
+        return cls.assemble(a, v, sigma_indices, dec_a, dec_v.eigenvalues, label)
+
+    @classmethod
+    def assemble(
+        cls,
+        a: SymmetricMatrix,
+        v: SymmetricMatrix,
+        sigma_indices,
+        dec_a: SpectralDecomposition,
+        v_eigenvalues: np.ndarray,
+        label: str = "",
+    ) -> "PerturbationInstance":
+        """Instance from A, V, A's decomposition in eigh's conventions and
+        V's eigenvalues, solving nothing. The data are checked, not trusted:
+        A*Q = Q*diag(w) and Q^T*Q = I (O(n^3)), and V's trace and Frobenius
+        norm against its eigenvalues (O(n^2)), within the membership
+        tolerance of each matrix's Frobenius norm; a mismatch raises
+        ValueError."""
         if a.dim != v.dim:
             raise ValueError("dimension mismatch between A and V")
         idx = tuple(sorted(int(k) for k in sigma_indices))
@@ -106,11 +127,20 @@ class PerturbationInstance:
             raise ValueError("sigma must be a nonempty proper subset of the spectrum")
         if idx[0] < 0 or idx[-1] >= a.dim:
             raise ValueError("sigma index out of range")
-        dec, dec_v = eigh_many([a, v])
-        if float(dec_v.eigenvalues[0]) < -PSD_TOL:
+        w, q = dec_a.eigenvalues, dec_a.eigenvectors
+        tol = membership_tol(np.linalg.norm(a.entries))
+        if np.any(np.diff(w) < 0.0) or not (
+            np.allclose(a.entries @ q, q * w, rtol=0.0, atol=tol)
+            and np.allclose(q.T @ q, np.eye(a.dim), rtol=0.0, atol=membership_tol(0.0))
+        ):
+            raise ValueError("dec_a is not an ascending eigendecomposition of A")
+        wv = np.asarray(v_eigenvalues, dtype=float)
+        v_fro = np.linalg.norm(v.entries)
+        tol = membership_tol(v_fro)
+        if abs(np.trace(v.entries) - wv.sum()) > tol or abs(v_fro - np.linalg.norm(wv)) > tol:
+            raise ValueError("v_eigenvalues do not match the spectrum of V")
+        if float(wv.min()) < -PSD_TOL:
             raise ValueError("V must be positive semidefinite")
-        v_norm = 0.0 if not np.any(v.entries) else dec_v.norm
-        w = dec.eigenvalues
         in_sigma = np.zeros(a.dim, dtype=bool)
         in_sigma[list(idx)] = True
         sigma = IntervalSet.from_points(w[in_sigma])
@@ -126,11 +156,11 @@ class PerturbationInstance:
             v=v,
             sigma_indices=idx,
             label=label,
-            dec_a=dec,
+            dec_a=dec_a,
             sigma=sigma,
             big_sigma=big_sigma,
             d=d,
-            v_norm=v_norm,
+            v_norm=float(np.max(np.abs(wv))),
             geometry=geometry,
         )
 
@@ -138,7 +168,7 @@ class PerturbationInstance:
         return self.a + self.v.scaled(t)
 
     def spectrum(self, t: float) -> SpectralDecomposition:
-        """Eigendecomposition of A + tV; at t = 0 the one build() computed."""
+        """Eigendecomposition of A + tV; at t = 0 the instance's own dec_a."""
         return self.dec_a if t == 0.0 else eigh(self.perturbed(t))
 
 

@@ -51,16 +51,21 @@ class ConfigError(ValueError):
 
 
 def checked_tol(value: float, name: str) -> float:
-    """A margin tolerance must be finite and nonnegative; NaN and inf would
-    fail or pass every margin."""
-    if not 0.0 <= value < float("inf"):
-        raise ConfigError(f"{name} must be finite and nonnegative")
-    return value
+    """A margin tolerance must be a finite nonnegative number; NaN and inf
+    would fail or pass every margin, and true would read as 1.0."""
+    if not _is_real(value) or not 0.0 <= value < float("inf"):
+        raise ConfigError(f"{name} must be a finite nonnegative number")
+    return float(value)
 
 
 def _is_int(value) -> bool:
     # bool is a subclass of int, but true is not a trial count or a seed
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # nor is true a ratio or a tolerance, and "0.5" is not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def read_config(path: str) -> dict:
@@ -101,9 +106,9 @@ class CampaignConfig:
         plans = tuple(raw.get("plans", [CONVEX_SEPARATED]))
         if not plans or any(p not in PLAN_NAMES for p in plans):
             raise ConfigError(f"plans must be a nonempty subset of {PLAN_NAMES}")
-        v_ratios = tuple(float(v) for v in raw.get("v_ratios", [0.5]))
-        if not v_ratios or not all(0.0 <= v < 1.0 for v in v_ratios):
-            raise ConfigError("v_ratios must be a nonempty list inside [0, 1)")
+        v_ratios = tuple(raw.get("v_ratios", [0.5]))
+        if not v_ratios or not all(_is_real(v) and 0.0 <= v < 1.0 for v in v_ratios):
+            raise ConfigError("v_ratios must be a nonempty list of numbers inside [0, 1)")
         if "seeds" in raw and "seed_base" in raw:
             raise ConfigError("give either seeds or seed_base, not both")
         if "seeds" in raw:
@@ -124,13 +129,13 @@ class CampaignConfig:
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
         tolerances = {
-            k: checked_tol(float(v), f"tolerance {k!r}") for k, v in tol_raw.items()
+            k: checked_tol(v, f"tolerance {k!r}") for k, v in tol_raw.items()
         }
         return cls(
             trials=trials,
             ns=ns,
             plans=plans,
-            v_ratios=v_ratios,
+            v_ratios=tuple(float(v) for v in v_ratios),
             seeds=seeds,
             tolerances=tolerances,
         )

@@ -134,7 +134,7 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     """Eigendecompositions of several same-size matrices in one kernel call.
 
     Each matrix gets exactly the decomposition `eigh` gives it alone: its own
-    tolerance and sweep cap, and the same ordering and sign conventions.
+    tolerance and sweep cap, and the conventions of `decompositions`.
     Raises ConvergenceError if any matrix misses its tolerance.
     """
     if not ms:
@@ -154,7 +154,13 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
             f"no convergence in {MAX_SWEEPS} sweeps: off-diagonal residual "
             f"{off[k]:.3e} above tolerance {tol[k]:.3e}"
         )
-    w = np.diagonal(a, axis1=1, axis2=2)
+    return decompositions(np.diagonal(a, axis1=1, axis2=2), vec)
+
+
+def decompositions(w: np.ndarray, vec: np.ndarray) -> list[SpectralDecomposition]:
+    """Stacked eigenpairs, values w (k, n) and vector columns vec (k, n, n), put
+    in eigh's conventions, whether computed or constructed: ascending, ties in
+    index order, each vector's largest-magnitude entry positive, read-only."""
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     vec = np.take_along_axis(vec, order[:, None, :], axis=2)
@@ -169,18 +175,6 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
         vectors.setflags(write=False)
         decs.append(SpectralDecomposition(eigenvalues=values, eigenvectors=vectors))
     return decs
-
-
-def operator_norm(m: SymmetricMatrix) -> float:
-    """Spectral norm, i.e. max |eigenvalue|."""
-    return eigh(m).norm
-
-
-def is_psd(m: SymmetricMatrix, tol: float) -> bool:
-    """True iff the minimal eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return float(eigh(m).eigenvalues[0]) >= -tol
 
 
 @dataclass(frozen=True, eq=False)

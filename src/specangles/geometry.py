@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PSD_TOL, Projector, SymmetricMatrix, eigh, eigh_many, operator_norm
+from .core import PSD_TOL, Projector, SymmetricMatrix, eigh, eigh_many
 
 ORTHO_TOL = 1e-10
 
@@ -101,7 +101,7 @@ def _reflected(v: SymmetricMatrix, q: Projector) -> np.ndarray:
 
 def reflection_defect(v: SymmetricMatrix, q: Projector) -> float:
     """||V - KVK|| for the reflection K = 2Q - I; at most ||V|| when V >= 0."""
-    return operator_norm(SymmetricMatrix(v.entries - _reflected(v, q)))
+    return eigh(SymmetricMatrix(v.entries - _reflected(v, q))).norm
 
 
 def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:

@@ -24,8 +24,10 @@ from .bounds import (
 from .core import (
     IntervalSet,
     Projector,
+    SpectralDecomposition,
     SymmetricMatrix,
-    operator_norm,
+    decompositions,
+    eigh,
     set_distance,
 )
 from .rng import PortableRng
@@ -195,7 +197,7 @@ def _sample_set(
 
 def _base_matrix(
     plan: SpecPlan, n: int, rng: PortableRng
-) -> tuple[SymmetricMatrix, tuple[int, ...]]:
+) -> tuple[SymmetricMatrix, SpectralDecomposition, tuple[int, ...]]:
     if n != plan.n:
         raise ValueError(f"plan carries {plan.n} eigenvalues, asked for {n}")
     si, sval, bi, bval = _facing_endpoints(plan)
@@ -206,7 +208,8 @@ def _base_matrix(
     lam = np.array([w for w, _ in labeled])
     sigma_indices = tuple(k for k, (_, is_sigma) in enumerate(labeled) if is_sigma)
     q = rng.haar_orthogonal(n)
-    return SymmetricMatrix((q * lam) @ q.T), sigma_indices
+    a = SymmetricMatrix((q * lam) @ q.T)
+    return a, decompositions(lam[None], q[None])[0], sigma_indices
 
 
 def random_instance(
@@ -214,31 +217,40 @@ def random_instance(
 ) -> PerturbationInstance:
     """Seeded instance: spectrum sampled inside the plan's clusters behind a
     Haar-random basis, perturbed by a PSD Gram matrix rescaled to
-    ||V|| = v_ratio * d_target."""
+    ||V|| = v_ratio * d_target. The Gram solve is the only kernel call: A's
+    spectrum and basis are the sampled ones, V's the scaled Gram spectrum."""
     if not 0.0 <= v_ratio < 1.0:
         raise ValueError("v_ratio must lie in [0, 1)")
     rng = PortableRng(seed)
-    a, sigma_indices = _base_matrix(plan, n, rng)
+    a, dec_a, sigma_indices = _base_matrix(plan, n, rng)
     if v_ratio == 0.0:
         v = SymmetricMatrix.zero(n)
+        v_eigenvalues = np.zeros(n)
     else:
         g = rng.gaussians(n * n).reshape(n, n)
         gram = SymmetricMatrix(g @ g.T)
-        v = gram.scaled(v_ratio * plan.d_target / operator_norm(gram))
+        dec_gram = eigh(gram)
+        factor = v_ratio * plan.d_target / dec_gram.norm
+        v = gram.scaled(factor)
+        v_eigenvalues = dec_gram.eigenvalues * factor
     label = f"{plan.geometry}-n{n}-v{v_ratio:g}-s{seed}"
-    return PerturbationInstance.build(a, v, sigma_indices, label=label)
+    return PerturbationInstance.assemble(a, v, sigma_indices, dec_a, v_eigenvalues, label)
 
 
 def rank_one_instance(
     n: int, plan: SpecPlan, v_ratio: float, seed: int
 ) -> PerturbationInstance:
-    """Seeded instance whose perturbation is the rank-one spike
-    v_ratio * d_target * (u u^T) for a random unit vector u."""
+    """Seeded instance whose perturbation is the rank-one spike c * (u u^T),
+    c = v_ratio * d_target, for a random unit vector u. Nothing is solved:
+    A's spectrum and basis are the sampled ones, V's spectrum (0, ..., 0, c)."""
     if not 0.0 <= v_ratio < 1.0:
         raise ValueError("v_ratio must lie in [0, 1)")
     rng = PortableRng(seed)
-    a, sigma_indices = _base_matrix(plan, n, rng)
+    a, dec_a, sigma_indices = _base_matrix(plan, n, rng)
     u = rng.unit_vector(n)
-    v = SymmetricMatrix(v_ratio * plan.d_target * np.outer(u, u))
+    c = v_ratio * plan.d_target
+    v = SymmetricMatrix(c * np.outer(u, u))
     label = f"rank-one-{plan.geometry}-n{n}-v{v_ratio:g}-s{seed}"
-    return PerturbationInstance.build(a, v, sigma_indices, label=label)
+    return PerturbationInstance.assemble(
+        a, v, sigma_indices, dec_a, np.append(np.zeros(n - 1), c), label
+    )

@@ -22,7 +22,8 @@ from .bounds import (
     bound_corollary,
     omega_component,
 )
-from .geometry import angle_report
+from .core import eigh_many
+from .geometry import angle_reports
 
 LAMBDA_MAX = 2.0 / math.pi
 PRODUCT_TOL = 1e-8
@@ -279,7 +280,13 @@ def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:
     if inst.v_norm >= inst.d:
         raise ValueError("gap non-closing hypothesis ||V|| < d violated")
 
-    projectors = [omega_component(inst, t).projector for t in grid]
+    later = iter(eigh_many([inst.perturbed(t) for t in grid if t > 0.0]))
+    projectors = [
+        omega_component(inst, t, dec=inst.dec_a if t == 0.0 else next(later)).projector
+        for t in grid
+    ]
+    steps = list(zip(projectors, projectors[1:]))
+    reports = angle_reports([*steps, (projectors[0], projectors[-1])])
 
     lambdas = []
     caps: list[float | None] = []
@@ -288,13 +295,13 @@ def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:
         lam = (grid[j + 1] - grid[j]) * inst.v_norm / (inst.d - grid[j] * inst.v_norm)
         lambdas.append(lam)
         caps.append(bound_corollary(lam, 1.0) if lam <= LAMBDA_MAX else None)
-        angles.append(angle_report(projectors[j], projectors[j + 1]).max_angle)
+        angles.append(reports[j].max_angle)
         if caps[j] is not None and angles[j] > caps[j] + DEFAULT_TOL:
             raise AssertionError(
                 f"step {j} angle {angles[j]!r} exceeds its local cap {caps[j]!r}"
             )
 
-    total = angle_report(projectors[0], projectors[-1]).max_angle
+    total = reports[-1].max_angle
     if total > math.fsum(angles) + 1e-10:
         raise AssertionError("total angle exceeds the per-step sum")
     return ChainPlan(

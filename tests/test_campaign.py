@@ -86,6 +86,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed_base"):
             CampaignConfig.from_dict({"trials": 1, "seed_base": True})
 
+    def test_booleans_and_strings_are_not_numbers(self):
+        for value in (True, False, "1e-8"):
+            with pytest.raises(ConfigError, match="tolerance 'default'"):
+                CampaignConfig.from_dict({"trials": 1, "tolerances": {"default": value}})
+        for ratios in ([False, 0.5], ["0.5"], [True]):
+            with pytest.raises(ConfigError, match="v_ratios"):
+                CampaignConfig.from_dict({"trials": 1, "v_ratios": ratios})
+        cfg = CampaignConfig.from_dict({"trials": 1, "v_ratios": [0, 0.5]})
+        assert cfg.v_ratios == (0.0, 0.5)
+        assert all(type(v) is float for v in cfg.v_ratios)
+
     def test_tolerance_precedence(self):
         cfg = CampaignConfig.from_dict(
             {"trials": 1, "tolerances": {"default": 1e-6, "generic": 1e-3}}
@@ -199,14 +210,15 @@ class TestRunCampaign:
         assert rows_jsonl(slow) == rows_jsonl(reports)
 
     def test_kernel_calls_per_trial(self, kernel_calls):
-        # Gram-based plans: Gram matrix, [A, V], the path, the angles;
-        # rank-one builds V without a Gram matrix
+        # Gram-based plans: the Gram matrix, the path, the angles; the
+        # generators pass A's spectrum and basis, so A and V are not solved,
+        # and rank-one builds V without a Gram matrix
         cfg = small_config(plans=["convex-separated", "doubly-interleaved", "rank-one"], trials=6)
         counts = []
         for _ in run_campaign(cfg):
             counts.append(len(kernel_calls))
             kernel_calls.clear()
-        assert counts == [4, 4, 3, 4, 4, 3]
+        assert counts == [3, 3, 2, 3, 3, 2]
 
 
 class TestSerialization:

@@ -274,6 +274,22 @@ class TestVerify:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"tolerances": {"default": True}},
+            {"tolerances": {"default": "1e-8"}},
+            {"v_ratios": [False, "0.5"]},
+        ],
+    )
+    def test_non_numeric_config_values_are_usage_errors(self, capsys, tmp_path, override):
+        code, out, err = run(
+            capsys, "verify", write_config(tmp_path, dict(BASE_CONFIG, **override))
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_rows_independent_of_hash_seed(self, tmp_path):
         # the same config gives the same bytes in separate interpreters,
         # whatever order their string hashing gives sets and dicts

@@ -8,6 +8,7 @@ import pytest
 from specangles import (
     IntervalSet,
     PerturbationInstance,
+    SpectralDecomposition,
     SymmetricMatrix,
     angle_report,
     block_example,
@@ -19,8 +20,15 @@ from specangles import (
     random_instance,
     rank_one_instance,
     sharpness_pair,
+    spectral_projector,
 )
 from specangles.instances import DOUBLY_INTERLEAVED, SpecPlan
+
+GENERATORS = {
+    "convex": lambda n, seed: random_instance(n, convex_plan(n), 0.65, seed),
+    "interleaved": lambda n, seed: random_instance(n, interleaved_plan(n), 0.65, seed),
+    "rank-one": lambda n, seed: rank_one_instance(n, convex_plan(n), 0.65, seed),
+}
 
 
 class TestSpecPlan:
@@ -227,3 +235,58 @@ class TestRankOneInstance:
         assert angle_report(p0, p1).sines[0] == pytest.approx(
             math.sin(phi), abs=1e-12
         )
+
+
+class TestGeneratedDecomposition:
+    """Generators hand assemble() the spectrum and basis they build A from;
+    that decomposition must be the one eigh would give, up to rounding."""
+
+    @pytest.mark.parametrize("n", [8, 48])
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_matches_a_solve_of_a(self, kind, n):
+        inst = GENERATORS[kind](n, 31)
+        w, q = inst.dec_a.eigenvalues, inst.dec_a.eigenvectors
+        assert np.all(np.diff(w) >= 0.0)
+        lead = np.argmax(np.abs(q), axis=0)
+        assert np.all(q[lead, np.arange(n)] > 0.0)
+        solved = eigh(inst.a)
+        scale = 1e-12 * (1.0 + solved.norm)
+        assert np.abs(w - solved.eigenvalues).max() <= scale
+        ours = spectral_projector(inst.dec_a, inst.sigma_indices).matrix.entries
+        theirs = spectral_projector(solved, inst.sigma_indices).matrix.entries
+        assert np.abs(ours - theirs).max() <= scale
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_v_norm_matches_a_solve_of_v(self, kind):
+        inst = GENERATORS[kind](8, 5)
+        assert inst.v_norm == pytest.approx(eigh(inst.v).norm, abs=1e-12)
+
+    def test_random_instance_solves_only_the_gram_matrix(self, kernel_calls):
+        random_instance(8, interleaved_plan(8), 0.5, seed=3)
+        assert kernel_calls == [(1, 8, 8)]
+        kernel_calls.clear()
+        random_instance(8, convex_plan(8), 0.0, seed=3)
+        assert kernel_calls == []
+
+    def test_rank_one_instance_solves_nothing(self, kernel_calls):
+        rank_one_instance(8, convex_plan(8), 0.5, seed=3)
+        assert kernel_calls == []
+
+
+class TestAssemble:
+    def test_rejects_a_permuted_eigenvector_column(self):
+        inst = random_instance(8, convex_plan(8), 0.5, seed=4)
+        q = inst.dec_a.eigenvectors[:, [7, 1, 2, 3, 4, 5, 6, 0]]
+        swapped = SpectralDecomposition(inst.dec_a.eigenvalues, q)
+        v_w = eigh(inst.v).eigenvalues
+        with pytest.raises(ValueError, match="dec_a"):
+            PerturbationInstance.assemble(inst.a, inst.v, inst.sigma_indices, swapped, v_w)
+
+    def test_rejects_a_scaled_v_spectrum(self):
+        inst = random_instance(8, convex_plan(8), 0.5, seed=4)
+        v_w = eigh(inst.v).eigenvalues
+        PerturbationInstance.assemble(inst.a, inst.v, inst.sigma_indices, inst.dec_a, v_w)
+        with pytest.raises(ValueError, match="v_eigenvalues"):
+            PerturbationInstance.assemble(
+                inst.a, inst.v, inst.sigma_indices, inst.dec_a, 1.01 * v_w
+            )

@@ -11,10 +11,14 @@ from specangles import (
     PartitionPlan,
     PerturbationInstance,
     SymmetricMatrix,
+    angle_report,
     chain_demo,
     constants,
+    interleaved_plan,
     make_plan,
+    omega_component,
     optimize,
+    random_instance,
     riemann_limit_check,
 )
 from specangles.partitions import LAMBDA_MAX
@@ -167,6 +171,22 @@ class TestChainDemo:
             assert chain.local_caps[j] == 0.5 * math.asin(math.pi * chain.lambdas[j] / 2.0)
             assert chain.per_step_angles[j] <= chain.local_caps[j] + 1e-8
         assert chain.total_angle <= math.fsum(chain.per_step_angles) + 1e-10
+
+    def test_two_kernel_calls_same_bits(self, kernel_calls):
+        # one stacked path solve and one stacked angle solve; the kernel gives
+        # each matrix the same bits alone or in a stack, so the plan matches
+        # a walk that solves every point and every pair on its own
+        inst = random_instance(8, interleaved_plan(8), 0.5, seed=12)
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        kernel_calls.clear()
+        chain = chain_demo(inst, grid)
+        assert kernel_calls == [(4, 8, 8), (5, 8, 8)]
+        projectors = [omega_component(inst, t).projector for t in grid]
+        steps = tuple(
+            angle_report(p, q).max_angle for p, q in zip(projectors, projectors[1:])
+        )
+        assert chain.per_step_angles == steps
+        assert chain.total_angle == angle_report(projectors[0], projectors[-1]).max_angle
 
     def test_oversized_step_has_no_cap(self):
         chain = chain_demo(sharpness_instance(0.9), (0.0, 1.0))
