@@ -1,15 +1,23 @@
-"""Round-robin Jacobi eigensolver kernel for stacks of symmetric matrices.
+"""Round-robin Jacobi kernels for stacks of matrices.
 
 One sweep visits every pivot pair (p, q), p < q, once, in the round-robin
 ("chess tournament") ordering of Brent & Luk (1985): n - 1 rounds of n/2
 disjoint pairs (an odd n sits one index out per round). The disjoint
 rotations of a round commute, so a round is applied to the whole stack at
-once as the orthogonal similarity J^T A J with one block rotation J per
-matrix. Every sweep rotates every nonzero pivot: a skipped pivot would still
-pay for its round's matrix products, so there is no threshold schedule.
-Everything is plain numpy on fixed orderings, so the result is a pure function
-of the input matrix: a matrix gives the same bits whether it is solved alone
-or inside a stack.
+once. Every pair's rotation comes from the one tangent formula of
+`_rotation`.
+
+`jacobi_sweeps` is the two-sided eigensolver: a round is the orthogonal
+similarity J^T A J with one block rotation J per matrix, and every sweep
+rotates every nonzero pivot (a skipped pivot would still pay for its round's
+matrix products, so there is no threshold schedule). `hestenes_sweeps` is the
+one-sided (Hestenes 1958) SVD: it rotates pairs of rows until they are
+orthogonal, so the row norms become the singular values, and it skips a pair
+that is already orthogonal to working accuracy.
+
+Everything is plain numpy on fixed orderings, so each result is a pure
+function of its input matrix: a matrix gives the same bits whether it is
+solved alone or inside a stack.
 """
 
 from __future__ import annotations
@@ -20,23 +28,55 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[np.ndarray, ...]:
-    """Per round, the flat n*n offsets of its pivot pairs' entries (p,p), then
-    (q,q), (p,q) and (q,p), one block of offsets each, pairs sorted by p."""
+def _pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The round-robin ordering of the pairs of n indices: per round, the
+    arrays (p, q) of its disjoint pairs p < q, sorted by p. There are no
+    rounds for n < 2."""
     m = n + n % 2
     players = list(range(m))
     rounds = []
     for _ in range(m - 1):
         pairs = [(players[i], players[m - 1 - i]) for i in range(m // 2)]
         pairs = sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n)
-        p = np.array([a for a, _ in pairs], dtype=np.intp)
-        q = np.array([b for _, b in pairs], dtype=np.intp)
-        pivots = np.concatenate([p * n + p, q * n + q, p * n + q, q * n + p])
-        # shared by every caller through the cache
-        pivots.setflags(write=False)
-        rounds.append(pivots)
+        if pairs:
+            p = np.array([a for a, _ in pairs], dtype=np.intp)
+            q = np.array([b for _, b in pairs], dtype=np.intp)
+            # shared by every caller through the cache
+            p.setflags(write=False)
+            q.setflags(write=False)
+            rounds.append((p, q))
         players = [players[0], players[-1]] + players[1:-1]
     return tuple(rounds)
+
+
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+    """Per round of `_pairs(n)`, the flat n*n offsets of its pivot pairs'
+    entries (p,p), then (q,q), (p,q) and (q,p), one block of offsets each."""
+    rounds = []
+    for p, q in _pairs(n):
+        pivots = np.concatenate([p * n + p, q * n + q, p * n + q, q * n + p])
+        pivots.setflags(write=False)
+        rounds.append(pivots)
+    return tuple(rounds)
+
+
+def _rotation(app, aqq, apq):
+    """Tangent, cosine and sine of the rotations that annihilate each pivot
+    a_pq of the 2x2 symmetric blocks [[a_pp, a_pq], [a_pq, a_qq]].
+
+    The tangent is formed as y / (x + sign(x)*hypot(x, y)) with
+    x = a_qq - a_pp and y = 2*a_pq, which stays in [-1, 1] and cannot
+    overflow however small the pivot is. Exact zero pivots get the identity
+    rotation, which avoids 0/0 when also a_pp == a_qq.
+    """
+    x = aqq - app
+    y = 2.0 * apq
+    den = x + np.copysign(np.hypot(x, y), x)
+    # A zero pivot divides by infinity, giving t = 0 and so c = 1, s = 0.
+    t = y / np.where(apq != 0.0, den, np.inf)
+    c = 1.0 / np.hypot(1.0, t)
+    return t, c, t * c
 
 
 def _off_norm(a: np.ndarray) -> np.ndarray:
@@ -47,26 +87,14 @@ def _off_norm(a: np.ndarray) -> np.ndarray:
 
 
 def _rotate_round(a, vec, pivots):
-    """Apply one round of disjoint rotations to the stacks `a` and `vec`.
-
-    Exact zero pivots get the identity rotation, which avoids 0/0 when also
-    a_pp == a_qq. The tangent is formed as y / (x + sign(x)*hypot(x, y)) with
-    x = a_qq - a_pp and y = 2*a_pq, which stays in [-1, 1] and cannot
-    overflow however small the pivot is.
-    """
+    """Apply one round of disjoint rotations to the stacks `a` and `vec`."""
     k, n, _ = a.shape
     pairs = len(pivots) // 4
     entries = a.reshape(k, n * n)[:, pivots[: 3 * pairs]]
     app = entries[:, :pairs]
     aqq = entries[:, pairs : 2 * pairs]
     apq = entries[:, 2 * pairs :]
-    x = aqq - app
-    y = 2.0 * apq
-    den = x + np.copysign(np.hypot(x, y), x)
-    # A zero pivot divides by infinity, giving t = 0 and so c = 1, s = 0.
-    t = y / np.where(apq != 0.0, den, np.inf)
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
+    t, c, s = _rotation(app, aqq, apq)
     # The identity as a strided unit diagonal: tiling np.eye costs more.
     rot = np.zeros((k, n * n))
     rot[:, :: n + 1] = 1.0
@@ -109,3 +137,53 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
         off[active] = _off_norm(work_a)
         active = active[(off[active] > tol[active]) & (sweeps[active] < max_sweeps)]
     return sweeps, off
+
+
+def _orthogonalize_round(b, p, q, tol):
+    """Rotate the row pairs (p, q) of every matrix in the stack `b` in place;
+    per matrix and pair, whether it rotated.
+
+    A pair is the 2x2 Gram block a_pp = |b_p|^2, a_qq = |b_q|^2,
+    a_pq = b_p . b_q, rotated by `_rotation` as the two-sided kernel rotates
+    a pivot, unless |a_pq| <= tol * |b_p| * |b_q| already.
+    """
+    pairs = len(p)
+    rows = b[:, np.concatenate([p, q])]
+    bp = rows[:, :pairs]
+    bq = rows[:, pairs:]
+    sq = np.einsum("kpm,kpm->kp", rows, rows)
+    norms = np.sqrt(sq)
+    apq = np.einsum("kpm,kpm->kp", bp, bq)
+    rotate = np.abs(apq) > tol * norms[:, :pairs] * norms[:, pairs:]
+    _, c, s = _rotation(sq[:, :pairs], sq[:, pairs:], np.where(rotate, apq, 0.0))
+    c = c[..., None]
+    s = s[..., None]
+    b[:, p] = c * bp - s * bq
+    b[:, q] = s * bp + c * bq
+    return rotate
+
+
+def hestenes_sweeps(b, tol, max_sweeps):
+    """Orthogonalize the rows of each matrix of the stack `b` (k, r, m) in
+    place by one-sided Jacobi; the row norms are then the singular values.
+
+    A matrix leaves the stack after a whole sweep in which every pair of rows
+    had |b_p . b_q| <= tol * |b_p| * |b_q|, or after `max_sweeps` sweeps.
+    Returns (sweeps, converged) per matrix; with r < 2 there are no rounds,
+    no sweeps, and every matrix counts as converged.
+    """
+    k = b.shape[0]
+    rounds = _pairs(b.shape[1])
+    sweeps = np.zeros(k, dtype=np.int64)
+    converged = np.full(k, not rounds)
+    active = np.flatnonzero(~converged & (sweeps < max_sweeps))
+    while active.size:
+        work = b[active]
+        rotated = np.concatenate(
+            [_orthogonalize_round(work, p, q, tol) for p, q in rounds], axis=1
+        ).any(axis=1)
+        b[active] = work
+        sweeps[active] += 1
+        converged[active] = ~rotated
+        active = active[rotated & (sweeps[active] < max_sweeps)]
+    return sweeps, converged

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -175,13 +175,20 @@ class PerturbationInstance:
 @dataclass(frozen=True, eq=False)
 class OmegaComponent:
     """The tracked spectral component of A + tV: indices into its ascending
-    spectrum, the associated projector P_t, and the enclosure interval set
-    sigma + [0, t*||V||] that traps it."""
+    spectrum, the decomposition they index, the bases (U_t, U_perp_t) of
+    Ran P_t and of its complement (the selected eigenvector columns and the
+    rest, in index order), and the enclosure interval set sigma + [0, t*||V||]
+    that traps it. The n x n projector P_t is built on first access only."""
 
     t: float
     omega_indices: tuple[int, ...]
-    projector: Projector
+    dec: SpectralDecomposition
+    bases: tuple[np.ndarray, np.ndarray]
     enclosure: IntervalSet
+
+    @cached_property
+    def projector(self) -> Projector:
+        return spectral_projector(self.dec, self.omega_indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,12 +290,12 @@ def omega_component(
             f"component changed size: {len(idx)} eigenvalues tracked, "
             f"expected {len(inst.sigma_indices)}"
         )
-    return OmegaComponent(
-        t=t,
-        omega_indices=idx,
-        projector=spectral_projector(dec, idx),
-        enclosure=lower,
-    )
+    selected = np.zeros(dec.dim, dtype=bool)
+    selected[list(idx)] = True
+    bases = (dec.eigenvectors[:, selected], dec.eigenvectors[:, ~selected])
+    for basis in bases:
+        basis.setflags(write=False)
+    return OmegaComponent(t=t, omega_indices=idx, dec=dec, bases=bases, enclosure=lower)
 
 
 def continuity_modulus(v_norm: float, d: float, s: float, t: float) -> float:

@@ -2,7 +2,7 @@
 
 A campaign config declares how many trials to run and the generator axes
 (plans, dimensions, perturbation ratios, seeds); the runner builds each
-instance, walks the path projectors over the t grid {0, 1/4, 1/2, 3/4, 1},
+instance, walks the path subspaces over the t grid {0, 1/4, 1/2, 3/4, 1},
 measures angles, and emits one row per (instance, bound) with the signed
 margin bound - measured. Margins at or above -tol pass. Identical configs
 produce byte-identical reports; timing lives on the trial report only, never
@@ -68,6 +68,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _listed(raw: dict, key: str, default: list, message: str) -> tuple:
+    # a scalar where a list belongs is a usage error, not something to iterate
+    value = raw.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(message)
+    return tuple(value)
+
+
 def read_config(path: str) -> dict:
     """The raw JSON object of a config file; a parse error is reported as
     `path:line: message`."""
@@ -103,18 +111,21 @@ class CampaignConfig:
         ns = tuple(ns_raw) if isinstance(ns_raw, list) else (ns_raw,)
         if not ns or not all(isinstance(n, int) and n >= 2 for n in ns):
             raise ConfigError("n must be an integer >= 2 or a nonempty list of them")
-        plans = tuple(raw.get("plans", [CONVEX_SEPARATED]))
+        message = f"plans must be a nonempty subset of {PLAN_NAMES}"
+        plans = _listed(raw, "plans", [CONVEX_SEPARATED], message)
         if not plans or any(p not in PLAN_NAMES for p in plans):
-            raise ConfigError(f"plans must be a nonempty subset of {PLAN_NAMES}")
-        v_ratios = tuple(raw.get("v_ratios", [0.5]))
+            raise ConfigError(message)
+        message = "v_ratios must be a nonempty list of numbers inside [0, 1)"
+        v_ratios = _listed(raw, "v_ratios", [0.5], message)
         if not v_ratios or not all(_is_real(v) and 0.0 <= v < 1.0 for v in v_ratios):
-            raise ConfigError("v_ratios must be a nonempty list of numbers inside [0, 1)")
+            raise ConfigError(message)
         if "seeds" in raw and "seed_base" in raw:
             raise ConfigError("give either seeds or seed_base, not both")
         if "seeds" in raw:
-            seeds = tuple(raw["seeds"])
+            message = "seeds must list exactly one integer per trial"
+            seeds = _listed(raw, "seeds", [], message)
             if len(seeds) != trials or not all(_is_int(s) for s in seeds):
-                raise ConfigError("seeds must list exactly one integer per trial")
+                raise ConfigError(message)
         else:
             base = raw.get("seed_base", 1)
             if not _is_int(base):
@@ -210,13 +221,9 @@ def _measure_trial(
     inst = _build_instance(name, n, v_ratio, seed)
     path = eigh_many([inst.perturbed(t) for t in T_GRID[1:]])
     decs = dict(zip(T_GRID, [inst.dec_a, *path]))
-    projectors = {
-        t: omega_component(inst, t, dec=decs[t]).projector for t in T_GRID
-    }
+    bases = {t: omega_component(inst, t, dec=decs[t]).bases for t in T_GRID}
     pairs = [(s, t) for i, s in enumerate(T_GRID) for t in T_GRID[i + 1 :]]
-    angles = dict(
-        zip(pairs, angle_reports([(projectors[s], projectors[t]) for s, t in pairs]))
-    )
+    angles = dict(zip(pairs, angle_reports([(bases[s], bases[t]) for s, t in pairs])))
     endpoints = angles[(0.0, 1.0)]
     theta = float(endpoints.max_angle)
     rows: list[BoundRow] = []

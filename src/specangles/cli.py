@@ -37,7 +37,7 @@ from .campaign import (
     rows_jsonl,
     run_campaign,
 )
-from .geometry import angle_report
+from .geometry import angle_reports
 from .instances import sharpness_pair
 from .partitions import optimize
 
@@ -206,9 +206,9 @@ def cmd_sharpness(args) -> int:
     for k in range(count):
         v = start if count == 1 else start + k * (stop - start) / (count - 1)
         inst = sharpness_pair(v)
-        p0 = omega_component(inst, 0.0).projector
-        p1 = omega_component(inst, 1.0).projector
-        theta = angle_report(p0, p1).max_angle
+        b0 = omega_component(inst, 0.0).bases
+        b1 = omega_component(inst, 1.0).bases
+        theta = angle_reports([(b0, b1)])[0].max_angle
         bound = bound_favorable(inst.v_norm, inst.d)
         margin = bound - theta
         worst = max(worst, abs(margin))

@@ -9,9 +9,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PSD_TOL, Projector, SymmetricMatrix, eigh, eigh_many
+from .core import (
+    PSD_TOL,
+    Projector,
+    SpectralDecomposition,
+    SymmetricMatrix,
+    eigh,
+    eigh_many,
+    singular_values_many,
+)
 
 ORTHO_TOL = 1e-10
+
+# An orthonormal basis of a subspace and one of its orthogonal complement.
+Bases = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +76,80 @@ class BlockSplit:
 
 
 def angle_report(p: Projector, q: Projector) -> AngleReport:
-    """Sine spectrum from eigenvalues of P - Q (no SVD: the spectrum of the
-    symmetric difference is already symmetric around 0 up to kernel)."""
-    return angle_reports([(p, q)])[0]
+    """`angle_reports` of one projector pair, whose bases come from one
+    stacked solve of the two projectors."""
+    dec_p, dec_q = eigh_many([p.matrix, q.matrix])
+    return angle_reports([(_projector_bases(p, dec_p), _projector_bases(q, dec_q))])[0]
 
 
-def angle_reports(pairs: Sequence[tuple[Projector, Projector]]) -> list[AngleReport]:
-    """`angle_report` for several same-size projector pairs, with all the
-    differences P - Q diagonalized in one kernel call."""
-    decs = eigh_many([p.matrix - q.matrix for p, q in pairs])
-    return [_report_from_difference(dec.eigenvalues) for dec in decs]
+def angle_reports(pairs: Sequence[tuple[Bases, Bases]]) -> list[AngleReport]:
+    """Sine spectra of pairs of subspaces given by orthonormal bases.
+
+    Each side is (U, U_perp): n x r columns spanning the subspace and
+    n x (n - r) columns spanning its complement. The sines are |spec(P - Q)|
+    of the two projectors, by the identity that the nonzero part of
+    spec(P - Q) is +-sigma(U_perp_P^T U_Q) and +-sigma(U_P^T U_perp_Q). For
+    equal ranks the two sets coincide, so only the first product is formed
+    and each of its singular values appears twice; unequal ranks take both.
+    Nothing forms P - Q, S^T S or a cosine. Two bit-identical bases U span
+    the same subspace, so their sines are exactly zero and nothing is solved.
+    """
+    products = []
+    for (u_s, perp_s), (u_t, perp_t) in pairs:
+        n = u_s.shape[0]
+        if not (
+            perp_s.shape[0] == u_t.shape[0] == perp_t.shape[0] == n
+            and u_s.shape[1] + perp_s.shape[1] == n
+            and u_t.shape[1] + perp_t.shape[1] == n
+        ):
+            raise ValueError("dimension mismatch")
+        pair = [] if np.array_equal(u_s, u_t) else [perp_s.T @ u_t]
+        if pair and u_s.shape[1] != u_t.shape[1]:
+            pair.append(u_s.T @ perp_t)
+        products.append((n, pair))
+    values = iter(_singular_values([m for _, pair in products for m in pair]))
+    reports = []
+    for n, pair in products:
+        found = [next(values) for _ in pair]
+        reports.append(_report(found * 2 if len(pair) == 1 else found, n))
+    return reports
 
 
-def _report_from_difference(w: np.ndarray) -> AngleReport:
-    sines = np.sort(np.abs(w))[::-1]
+def _singular_values(ms: list[np.ndarray]) -> list[np.ndarray]:
+    """Singular values of each matrix, in order, with one kernel call per
+    distinct shape; an empty matrix has none."""
+    found = [np.zeros(0)] * len(ms)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(ms):
+        if m.size:
+            by_shape.setdefault(m.shape, []).append(i)
+    for indices in by_shape.values():
+        for i, values in zip(indices, singular_values_many([ms[i] for i in indices])):
+            found[i] = values
+    return found
+
+
+def _range_bases(dec: SpectralDecomposition, rank: int) -> Bases:
+    # Eigenvalues ascending: the last `rank` columns span the range.
+    split = dec.dim - rank
+    return dec.eigenvectors[:, split:], dec.eigenvectors[:, :split]
+
+
+def _projector_bases(p: Projector, dec: SpectralDecomposition) -> Bases:
+    """`_range_bases` of P's decomposition, projected once more by P and
+    I - P. The solve stops at off-diagonal norm 1e-13 * (1 + ||P||_F), which
+    leaves a part of that size outside each subspace; the projection removes
+    it to first order and keeps the columns orthonormal to second order."""
+    u, perp = _range_bases(dec, p.rank)
+    m = p.matrix.entries
+    return m @ u, perp - m @ perp
+
+
+def _report(values: list[np.ndarray], n: int) -> AngleReport:
+    sines = np.zeros(n)
+    if values:
+        found = np.concatenate(values)
+        sines[: found.size] = np.sort(found)[::-1]
     sines = np.clip(sines, 0.0, 1.0)
     max_angle = math.asin(float(sines[0]))
     doubled = 2.0 * sines * np.sqrt(1.0 - sines * sines)
@@ -115,9 +186,7 @@ def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:
         raise ValueError("dimension mismatch")
     if q.rank == 0 or q.rank == q.dim:
         raise ValueError("projector must have nontrivial rank for a block split")
-    vectors = eigh(q.matrix).eigenvectors
-    b0 = vectors[:, q.dim - q.rank :]
-    b1 = vectors[:, : q.dim - q.rank]
+    b0, b1 = _range_bases(eigh(q.matrix), q.rank)
     basis = np.hstack([b0, b1])
     gram_residual = float(np.max(np.abs(basis.T @ basis - np.eye(q.dim))))
     if gram_residual > 1e-8:

@@ -281,12 +281,12 @@ def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:
         raise ValueError("gap non-closing hypothesis ||V|| < d violated")
 
     later = iter(eigh_many([inst.perturbed(t) for t in grid if t > 0.0]))
-    projectors = [
-        omega_component(inst, t, dec=inst.dec_a if t == 0.0 else next(later)).projector
+    bases = [
+        omega_component(inst, t, dec=inst.dec_a if t == 0.0 else next(later)).bases
         for t in grid
     ]
-    steps = list(zip(projectors, projectors[1:]))
-    reports = angle_reports([*steps, (projectors[0], projectors[-1])])
+    steps = list(zip(bases, bases[1:]))
+    reports = angle_reports([*steps, (bases[0], bases[-1])])
 
     lambdas = []
     caps: list[float | None] = []

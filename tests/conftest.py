@@ -15,13 +15,20 @@ def random_psd(n: int, seed: int) -> SymmetricMatrix:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Shape of the stack passed to each call of the Jacobi kernel, in order."""
+    """Shape of the stack passed to each call of either Jacobi kernel, in
+    order: (k, n, n) for the two-sided eigensolver, (k, r, m) with r <= m
+    for the one-sided SVD."""
     calls = []
-    original = core.jacobi_sweeps
 
-    def counted(a, *args):
-        calls.append(a.shape)
-        return original(a, *args)
+    def count(name):
+        original = getattr(core, name)
 
-    monkeypatch.setattr(core, "jacobi_sweeps", counted)
+        def counted(a, *args):
+            calls.append(a.shape)
+            return original(a, *args)
+
+        monkeypatch.setattr(core, name, counted)
+
+    count("jacobi_sweeps")
+    count("hestenes_sweeps")
     return calls

@@ -474,6 +474,28 @@ class TestOmegaComponent:
         assert comp.projector.rank == 2
         assert comp.enclosure.contains(1.1, tol=1e-12)
 
+    def test_bases_are_columns_of_the_decomposition(self):
+        inst = PerturbationInstance.build(
+            SymmetricMatrix.diagonal([0.0, 5.0, 1.0]),
+            SymmetricMatrix(np.full((3, 3), 0.1)),
+            (0, 2),
+        )
+        comp = omega_component(inst, 0.5)
+        vectors = comp.dec.eigenvectors
+        basis, complement = comp.bases
+        assert comp.omega_indices == (0, 2)
+        assert np.array_equal(basis, vectors[:, [0, 2]])
+        assert np.array_equal(complement, vectors[:, [1]])
+        assert not basis.flags.writeable and not complement.flags.writeable
+
+    def test_projector_built_on_first_access(self):
+        a, w = sharpness_matrices(0.6)
+        comp = omega_component(PerturbationInstance.build(a, w, (0,)), 1.0)
+        assert "projector" not in vars(comp)
+        basis = comp.bases[0]
+        assert np.abs(comp.projector.matrix.entries - basis @ basis.T).max() < 1e-15
+        assert comp.projector is comp.projector
+
     def test_gap_hypothesis_enforced(self):
         a = SymmetricMatrix.diagonal([0.0, 1.0])
         v = SymmetricMatrix.diagonal([2.0, 0.0])

@@ -10,6 +10,7 @@ import pytest
 
 from specangles import (
     campaign,
+    core,
     BoundRow,
     CampaignConfig,
     ConfigError,
@@ -96,6 +97,11 @@ class TestConfig:
         cfg = CampaignConfig.from_dict({"trials": 1, "v_ratios": [0, 0.5]})
         assert cfg.v_ratios == (0.0, 0.5)
         assert all(type(v) is float for v in cfg.v_ratios)
+
+    def test_scalars_for_lists_rejected(self):
+        for key, value in (("v_ratios", 0.5), ("seeds", 5), ("plans", 3), ("plans", None)):
+            with pytest.raises(ConfigError, match=key):
+                CampaignConfig.from_dict({"trials": 1, key: value})
 
     def test_tolerance_precedence(self):
         cfg = CampaignConfig.from_dict(
@@ -210,15 +216,26 @@ class TestRunCampaign:
         assert rows_jsonl(slow) == rows_jsonl(reports)
 
     def test_kernel_calls_per_trial(self, kernel_calls):
-        # Gram-based plans: the Gram matrix, the path, the angles; the
-        # generators pass A's spectrum and basis, so A and V are not solved,
-        # and rank-one builds V without a Gram matrix
+        # Gram-based plans: the Gram matrix, the path, and the ten 2 x 2
+        # basis products of the angles in one one-sided call; the generators
+        # pass A's spectrum and basis, so A and V are not solved, and
+        # rank-one builds V without a Gram matrix
         cfg = small_config(plans=["convex-separated", "doubly-interleaved", "rank-one"], trials=6)
-        counts = []
+        calls = []
         for _ in run_campaign(cfg):
-            counts.append(len(kernel_calls))
+            calls.append(list(kernel_calls))
             kernel_calls.clear()
-        assert counts == [3, 3, 2, 3, 3, 2]
+        gram, path, angles = (1, 4, 4), (4, 4, 4), (10, 2, 2)
+        assert calls == [[gram, path, angles], [gram, path, angles], [path, angles]] * 2
+
+    def test_no_projector_is_built(self, monkeypatch):
+        # the angles come from n x r bases: no n x n projector, no P_s - P_t
+        def refuse(self):
+            raise AssertionError("a Projector was built on the campaign path")
+
+        monkeypatch.setattr(core.Projector, "__post_init__", refuse)
+        reports = list(run_campaign(small_config()))
+        assert all(report.passed for report in reports)
 
 
 class TestSerialization:

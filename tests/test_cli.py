@@ -290,6 +290,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("key, value", [("v_ratios", 0.5), ("seeds", 5)])
+    def test_scalar_for_a_list_is_usage_error(self, capsys, tmp_path, key, value):
+        payload = {k: v for k, v in BASE_CONFIG.items() if k != "seed_base"}
+        payload.update({"trials": 1, key: value})
+        code, out, err = run(capsys, "verify", write_config(tmp_path, payload))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key} must")
+
     def test_rows_independent_of_hash_seed(self, tmp_path):
         # the same config gives the same bytes in separate interpreters,
         # whatever order their string hashing gives sets and dicts

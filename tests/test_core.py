@@ -1,6 +1,8 @@
 """Core linear algebra: the symmetric container, the eigensolver against an
 independent oracle, interval-set arithmetic, and spectral projectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from specangles import (
     eigh_many,
     set_distance,
     shift_set,
+    singular_values_many,
     spectral_projector,
 )
 from conftest import random_psd, random_symmetric
@@ -180,6 +183,55 @@ class TestEighMany:
         assert eigh_many([diagonal])[0].eigenvalues.tolist() == [1.0, 2.0]
         with pytest.raises(ConvergenceError):
             eigh_many([diagonal, random_symmetric(2, 3)])
+
+
+class TestSingularValuesMany:
+    def stack(self, shape, count, seed):
+        g = PortableRng(seed).gaussians(count * shape[0] * shape[1])
+        return list(g.reshape(count, *shape))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4), (2, 5), (17, 12)])
+    def test_stack_gives_the_bits_of_each_matrix_alone(self, shape):
+        ms = self.stack(shape, 5, 71)
+        for m, values in zip(ms, singular_values_many(ms), strict=True):
+            assert np.array_equal(values, singular_values_many([m])[0])
+
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 11), (11, 5), (32, 32), (3, 1)])
+    def test_matches_numpy_svd(self, shape):
+        ms = self.stack(shape, 6, 72)
+        for m, values in zip(ms, singular_values_many(ms)):
+            oracle = np.linalg.svd(m, compute_uv=False)
+            assert values.shape == oracle.shape
+            assert np.all(np.diff(values) <= 0.0)
+            assert np.abs(values - oracle).max() <= 1e-13 * oracle[0]
+
+    def test_one_row_has_no_rounds(self):
+        assert _jacobi._pairs(1) == ()
+        assert _jacobi._round_robin(1) == ()
+        b = np.array([[[3.0, 4.0]], [[0.0, 0.0]]])
+        sweeps, converged = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        assert sweeps.tolist() == [0, 0] and converged.all()
+        assert [v.tolist() for v in singular_values_many(list(b))] == [[5.0], [0.0]]
+        assert singular_values_many([np.array([[3.0], [4.0]])])[0].tolist() == [5.0]
+
+    def test_zero_matrix_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = singular_values_many([np.zeros((3, 4))])
+        assert values[0].tolist() == [0.0, 0.0, 0.0]
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SWEEPS", 1)
+        # orthogonal rows need one sweep, to find that no pair rotates
+        orthogonal = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        assert singular_values_many([orthogonal])[0].tolist() == [3.0, 2.0]
+        with pytest.raises(ConvergenceError):
+            singular_values_many([orthogonal, *self.stack((2, 3), 1, 73)])
+
+    def test_empty_and_mismatched(self):
+        assert singular_values_many([]) == []
+        with pytest.raises(ValueError):
+            singular_values_many([np.zeros((2, 3)), np.zeros((3, 2))])
 
 
 class TestNormAndPsd:

@@ -1,6 +1,7 @@
 """Subspace angles and the PSD block-norm inequalities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from specangles import (
     Projector,
     SymmetricMatrix,
     angle_report,
+    angle_reports,
     block_split,
     compression_2x2,
     eigh,
@@ -86,6 +88,74 @@ class TestAngleReport:
         a = angle_report(p, q)
         b = angle_report(q, p)
         assert np.abs(a.sines - b.sines).max() < 1e-12
+
+
+def range_bases(p: Projector):
+    vectors = np.linalg.eigh(p.matrix.entries)[1]
+    return vectors[:, p.dim - p.rank :], vectors[:, : p.dim - p.rank]
+
+
+def tiny_angle_pair(seed: int):
+    """Bases of two planes in R^6 at canonical angles 1.2 and 1e-9, the
+    second plane's basis rotated inside the plane so no column is a
+    principal vector."""
+    h = PortableRng(seed).haar_orthogonal(6)
+    c, s = np.cos([1.2, 1e-9]), np.sin([1.2, 1e-9])
+    u_q = (h[:, :2] * c + h[:, 2:4] * s) @ PortableRng(seed + 1).haar_orthogonal(2)
+    perp_q = np.hstack([h[:, 2:4] * c - h[:, :2] * s, h[:, 4:]])
+    return (h[:, :2], h[:, 2:]), (u_q, perp_q)
+
+
+class TestAngleReportsFromBases:
+    @pytest.mark.parametrize("ranks", [(3, 3), (2, 5), (5, 2), (1, 6), (0, 4)])
+    def test_sines_are_the_spectrum_of_the_difference(self, ranks):
+        for seed in range(5):
+            p = haar_projector(7, ranks[0], 100 + seed)
+            q = haar_projector(7, ranks[1], 200 + seed)
+            expected = np.sort(np.abs(np.linalg.eigvalsh(p.matrix.entries - q.matrix.entries)))
+            report = angle_reports([(range_bases(p), range_bases(q))])[0]
+            assert np.abs(report.sines - expected[::-1]).max() < 1e-14
+            assert np.abs(angle_report(p, q).sines - expected[::-1]).max() < 1e-14
+
+    def test_small_angle_keeps_relative_accuracy(self):
+        p, q = tiny_angle_pair(0)
+        report = angle_reports([(p, q)])[0]
+        assert report.sines[:2] == pytest.approx([math.sin(1.2)] * 2, abs=1e-14)
+        assert report.sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6)
+        assert report.sines[4:].tolist() == [0.0, 0.0]
+        # the shortcuts the one-sided kernel avoids lose the small angle: the
+        # cosines round to 1 and S^T S squares it below rounding noise
+        cosines = np.linalg.svd(p[0].T @ q[0], compute_uv=False)
+        via_cosines = np.sqrt(np.clip(1.0 - cosines**2, 0.0, None)).min()
+        s = p[1].T @ q[0]
+        via_gram = np.sqrt(np.linalg.eigvalsh(s.T @ s).clip(0.0)).min()
+        for shortcut in (via_cosines, via_gram):
+            assert abs(shortcut / math.sin(1e-9) - 1.0) > 0.5
+
+    def test_same_span_different_bases_has_zero_product(self):
+        # the bases differ, but S = U_perp_s^T U_t is exactly zero
+        c, s = math.cos(0.4), math.sin(0.4)
+        eye = np.eye(4)
+        first = (eye[:, :2], eye[:, 2:])
+        second = (eye[:, :2] @ np.array([[c, -s], [s, c]]), eye[:, 2:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = angle_reports([(first, second)])[0]
+        assert report.max_angle == 0.0
+        assert report.sin2_norm == 0.0
+        assert report.sines.tolist() == [0.0] * 4
+
+    def test_one_kernel_call_per_stack(self, kernel_calls):
+        planes = [range_bases(haar_projector(9, 4, seed)) for seed in range(4)]
+        angle_reports(list(zip(planes, planes[1:])))
+        assert kernel_calls == [(3, 4, 5)]
+
+    def test_rejects_inconsistent_bases(self):
+        p = range_bases(haar_projector(5, 2, 1))
+        with pytest.raises(ValueError, match="dimension"):
+            angle_reports([(p, range_bases(haar_projector(6, 2, 2)))])
+        with pytest.raises(ValueError, match="dimension"):
+            angle_reports([(p, (p[0], p[1][:, 1:]))])
 
 
 class TestReflectionDefect:

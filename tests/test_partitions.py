@@ -11,7 +11,7 @@ from specangles import (
     PartitionPlan,
     PerturbationInstance,
     SymmetricMatrix,
-    angle_report,
+    angle_reports,
     chain_demo,
     constants,
     interleaved_plan,
@@ -173,20 +173,21 @@ class TestChainDemo:
         assert chain.total_angle <= math.fsum(chain.per_step_angles) + 1e-10
 
     def test_two_kernel_calls_same_bits(self, kernel_calls):
-        # one stacked path solve and one stacked angle solve; the kernel gives
-        # each matrix the same bits alone or in a stack, so the plan matches
-        # a walk that solves every point and every pair on its own
+        # one stacked path solve and one stacked solve of the five 4 x 4
+        # basis products; both kernels give each matrix the same bits alone
+        # or in a stack, so the plan matches a walk that solves every point
+        # and every pair of bases on its own
         inst = random_instance(8, interleaved_plan(8), 0.5, seed=12)
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         kernel_calls.clear()
         chain = chain_demo(inst, grid)
-        assert kernel_calls == [(4, 8, 8), (5, 8, 8)]
-        projectors = [omega_component(inst, t).projector for t in grid]
+        assert kernel_calls == [(4, 8, 8), (5, 4, 4)]
+        bases = [omega_component(inst, t).bases for t in grid]
         steps = tuple(
-            angle_report(p, q).max_angle for p, q in zip(projectors, projectors[1:])
+            angle_reports([(s, t)])[0].max_angle for s, t in zip(bases, bases[1:])
         )
         assert chain.per_step_angles == steps
-        assert chain.total_angle == angle_report(projectors[0], projectors[-1]).max_angle
+        assert chain.total_angle == angle_reports([(bases[0], bases[-1])])[0].max_angle
 
     def test_oversized_step_has_no_cap(self):
         chain = chain_demo(sharpness_instance(0.9), (0.0, 1.0))
