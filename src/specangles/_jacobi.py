@@ -28,10 +28,11 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The round-robin ordering of the pairs of n indices: per round, the
-    arrays (p, q) of its disjoint pairs p < q, sorted by p. There are no
-    rounds for n < 2."""
+    arrays (p, q) of its disjoint pairs p < q, sorted by p, and the flat n*n
+    offsets of their entries (p,p), then (q,q), (p,q) and (q,p), one block of
+    offsets each. There are no rounds for n < 2."""
     m = n + n % 2
     players = list(range(m))
     rounds = []
@@ -41,23 +42,12 @@ def _pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         if pairs:
             p = np.array([a for a, _ in pairs], dtype=np.intp)
             q = np.array([b for _, b in pairs], dtype=np.intp)
+            offsets = np.concatenate([p * n + p, q * n + q, p * n + q, q * n + p])
             # shared by every caller through the cache
-            p.setflags(write=False)
-            q.setflags(write=False)
-            rounds.append((p, q))
+            for index in (p, q, offsets):
+                index.setflags(write=False)
+            rounds.append((p, q, offsets))
         players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-@lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[np.ndarray, ...]:
-    """Per round of `_pairs(n)`, the flat n*n offsets of its pivot pairs'
-    entries (p,p), then (q,q), (p,q) and (q,p), one block of offsets each."""
-    rounds = []
-    for p, q in _pairs(n):
-        pivots = np.concatenate([p * n + p, q * n + q, p * n + q, q * n + p])
-        pivots.setflags(write=False)
-        rounds.append(pivots)
     return tuple(rounds)
 
 
@@ -125,11 +115,11 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
     sweeps = np.zeros(k, dtype=np.int64)
     off = _off_norm(a)
     active = np.flatnonzero((off > tol) & (sweeps < max_sweeps))
-    rounds = _round_robin(n)
+    rounds = _pairs(n)
     while active.size:
         work_a = a[active]
         work_v = vec[active]
-        for pivots in rounds:
+        for _, _, pivots in rounds:
             work_a, work_v = _rotate_round(work_a, work_v, pivots)
         a[active] = work_a
         vec[active] = work_v
@@ -180,7 +170,7 @@ def hestenes_sweeps(b, tol, max_sweeps):
     while active.size:
         work = b[active]
         rotated = np.concatenate(
-            [_orthogonalize_round(work, p, q, tol) for p, q in rounds], axis=1
+            [_orthogonalize_round(work, p, q, tol) for p, q, _ in rounds], axis=1
         ).any(axis=1)
         b[active] = work
         sweeps[active] += 1

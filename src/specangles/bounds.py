@@ -4,7 +4,8 @@ matrices under positive-semidefinite perturbations.
 Setting: A symmetric with spectrum split into components sigma and Sigma at
 distance d > 0, perturbed along the path A + tV with V >= 0 and ||V|| < d.
 The subspace tracked is the one belonging to omega_t, the part of
-spec(A + tV) trapped in the one-sided enlargement sigma + [0, t*||V||].
+spec(A + tV) trapped in the one-sided enlargement sigma + [0, t*||V||]; by
+Weyl's inequalities these are the eigenvalues at sigma's indices.
 This module provides the enclosure and gap-persistence facts, the angle
 bounds (favorable-geometry, sin-2-theta, arcsin corollary, generic N, log
 integral) with angle_bounds deciding their hypotheses, the piecewise bound
@@ -25,7 +26,6 @@ from .core import (
     Projector,
     SpectralDecomposition,
     SymmetricMatrix,
-    classify_points,
     eigh,
     eigh_many,
     membership_tol,
@@ -260,42 +260,40 @@ def gap_persistence(a: float, b: float, v_norm: float) -> IntervalSet:
 def omega_component(
     inst: PerturbationInstance, t: float, dec: SpectralDecomposition | None = None
 ) -> OmegaComponent:
-    """Classify spec(A+tV) into the tracked component and the rest.
+    """The tracked component of spec(A+tV): the eigenvalues at sigma's indices.
 
-    Eigenvalues are assigned by nearest-shifted-set classification against
-    sigma + [0, t*||V||] versus Sigma + [0, t*||V||]; those two sets are
-    disjoint with gap >= d - t*||V||, so the assignment is unambiguous under
-    the gap non-closing hypothesis. The component must keep exactly rank(sigma)
-    eigenvalues; anything else raises. `dec` defaults to inst.spectrum(t), so
-    t = 0 reuses build()'s solve of A.
+    For V >= 0, Weyl's inequalities give lambda_k(A) <= lambda_k(A+tV) <=
+    lambda_k(A) + t*||V|| for every k, so while t*||V|| < d the part of the
+    spectrum in sigma + [0, t*||V||] is exactly the eigenvalues at sigma's
+    indices. That is checked, not assumed: an eigenvalue outside its own Weyl
+    interval by more than the membership tolerance raises ValueError. `dec`
+    defaults to inst.spectrum(t), so t = 0 reuses build()'s solve of A.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if t * inst.v_norm >= inst.d:
+    shift = t * inst.v_norm
+    if shift >= inst.d:
         raise ValueError("gap non-closing hypothesis t*||V|| < d violated")
     if dec is None:
         dec = inst.spectrum(t)
-    shift = t * inst.v_norm
-    lower = shift_set(inst.sigma, shift)
-    upper = shift_set(inst.big_sigma, shift)
     w = dec.eigenvalues
-    radius = max(abs(float(w[0])), abs(float(w[-1])))
-    labels = classify_points(w, lower, upper, membership_tol(radius))
-    if "outside" in labels:
-        stray = float(w[labels.index("outside")])
-        raise ValueError(f"eigenvalue {stray!r} escaped the spectral enclosure")
-    idx = tuple(k for k, lab in enumerate(labels) if lab == "first")
-    if len(idx) != len(inst.sigma_indices):
+    lower = inst.dec_a.eigenvalues
+    tol = membership_tol(max(abs(float(w[0])), abs(float(w[-1]))))
+    outside = np.flatnonzero((w < lower - tol) | (w > lower + shift + tol))
+    if outside.size:
+        k = int(outside[0])
         raise ValueError(
-            f"component changed size: {len(idx)} eigenvalues tracked, "
-            f"expected {len(inst.sigma_indices)}"
+            f"eigenvalue {k} = {float(w[k])!r} left its Weyl interval "
+            f"[{float(lower[k])!r}, {float(lower[k]) + shift!r}]"
         )
+    idx = inst.sigma_indices
     selected = np.zeros(dec.dim, dtype=bool)
     selected[list(idx)] = True
     bases = (dec.eigenvectors[:, selected], dec.eigenvectors[:, ~selected])
     for basis in bases:
         basis.setflags(write=False)
-    return OmegaComponent(t=t, omega_indices=idx, dec=dec, bases=bases, enclosure=lower)
+    enclosure = shift_set(inst.sigma, shift)
+    return OmegaComponent(t=t, omega_indices=idx, dec=dec, bases=bases, enclosure=enclosure)
 
 
 def continuity_modulus(v_norm: float, d: float, s: float, t: float) -> float:

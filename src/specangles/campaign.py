@@ -16,7 +16,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import (
     CONVEX_SEPARATED,
@@ -28,8 +28,8 @@ from .bounds import (
     enclosure_check,
     omega_component,
 )
-from .core import eigh_many
-from .geometry import angle_reports
+from .core import SpectralDecomposition, eigh_many
+from .geometry import AngleReport, angle_reports
 from .instances import (
     DOUBLY_INTERLEAVED,
     SpecPlan,
@@ -99,13 +99,24 @@ class CampaignConfig:
     tolerances: dict[str, float]
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "CampaignConfig":
+    def from_dict(
+        cls,
+        raw: dict,
+        trials: int | None = None,
+        seed_base: int | None = None,
+        tol: float | None = None,
+    ) -> "CampaignConfig":
+        """The config `raw` describes. `trials`, `seed_base` and `tol`, where
+        given, override its trial count (keeping a prefix of its listed
+        seeds), its seeds (seed_base + k for trial k) and its default
+        tolerance; they are applied after raw's own checks."""
         known = {"trials", "n", "plans", "v_ratios", "seeds", "seed_base", "tolerances"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        trials = raw.get("trials", 0)
-        if not _is_int(trials) or trials < 0:
+        count = raw.get("trials", 0)
+        trials = count if trials is None else trials
+        if not all(_is_int(k) and k >= 0 for k in (count, trials)):
             raise ConfigError("trials must be a nonnegative integer")
         ns_raw = raw.get("n", [8])
         ns = tuple(ns_raw) if isinstance(ns_raw, list) else (ns_raw,)
@@ -121,15 +132,18 @@ class CampaignConfig:
             raise ConfigError(message)
         if "seeds" in raw and "seed_base" in raw:
             raise ConfigError("give either seeds or seed_base, not both")
-        if "seeds" in raw:
-            message = "seeds must list exactly one integer per trial"
-            seeds = _listed(raw, "seeds", [], message)
-            if len(seeds) != trials or not all(_is_int(s) for s in seeds):
+        message = "seeds must list exactly one integer per trial"
+        listed = _listed(raw, "seeds", [], message)
+        if "seeds" in raw and (len(listed) != count or not all(map(_is_int, listed))):
+            raise ConfigError(message)
+        base = raw.get("seed_base", 1) if seed_base is None else seed_base
+        if not all(map(_is_int, (raw.get("seed_base", 1), base))):
+            raise ConfigError("seed_base must be an integer")
+        if "seeds" in raw and seed_base is None:
+            if len(listed) < trials:
                 raise ConfigError(message)
+            seeds = listed[:trials]
         else:
-            base = raw.get("seed_base", 1)
-            if not _is_int(base):
-                raise ConfigError("seed_base must be an integer")
             seeds = tuple(base + k for k in range(trials))
         tol_raw = raw.get("tolerances", {})
         if not isinstance(tol_raw, dict):
@@ -142,6 +156,8 @@ class CampaignConfig:
         tolerances = {
             k: checked_tol(v, f"tolerance {k!r}") for k, v in tol_raw.items()
         }
+        if tol is not None:
+            tolerances["default"] = checked_tol(tol, "the default tolerance")
         return cls(
             trials=trials,
             ns=ns,
@@ -152,8 +168,8 @@ class CampaignConfig:
         )
 
     @classmethod
-    def from_json_file(cls, path: str) -> "CampaignConfig":
-        return cls.from_dict(read_config(path))
+    def from_json_file(cls, path: str, **overrides) -> "CampaignConfig":
+        return cls.from_dict(read_config(path), **overrides)
 
     def tol_for(self, bound_name: str) -> float:
         return self.tolerances.get(
@@ -214,16 +230,32 @@ def _build_instance(name: str, n: int, v_ratio: float, seed: int) -> Perturbatio
     return random_instance(n, _plan_for(name, n), v_ratio, seed)
 
 
+def walk_path(
+    inst: PerturbationInstance, pairs: Sequence[tuple[float, float]]
+) -> tuple[dict[float, SpectralDecomposition], list[AngleReport]]:
+    """Walk the path A + tV over the times of `pairs`: the decomposition at
+    each distinct t, and the angle report of each pair (s, t) in order.
+
+    t = 0 is build()'s solve of A; every other distinct t is solved in one
+    stacked kernel call. Each t's bases come from `omega_component`, and all
+    pairs share one `angle_reports` call. This is the one place that solves
+    the path, for the campaign, `chain_demo` and the sharpness sweep alike.
+    """
+    times = list(dict.fromkeys(t for pair in pairs for t in pair))
+    solved = iter(eigh_many([inst.perturbed(t) for t in times if t != 0.0]))
+    decs = {t: inst.dec_a if t == 0.0 else next(solved) for t in times}
+    bases = {t: omega_component(inst, t, dec=dec).bases for t, dec in decs.items()}
+    return decs, angle_reports([(bases[s], bases[t]) for s, t in pairs])
+
+
 def _measure_trial(
     config: CampaignConfig, name: str, n: int, v_ratio: float, seed: int
 ) -> TrialReport:
     started = time.perf_counter()
     inst = _build_instance(name, n, v_ratio, seed)
-    path = eigh_many([inst.perturbed(t) for t in T_GRID[1:]])
-    decs = dict(zip(T_GRID, [inst.dec_a, *path]))
-    bases = {t: omega_component(inst, t, dec=decs[t]).bases for t in T_GRID}
     pairs = [(s, t) for i, s in enumerate(T_GRID) for t in T_GRID[i + 1 :]]
-    angles = dict(zip(pairs, angle_reports([(bases[s], bases[t]) for s, t in pairs])))
+    decs, reports = walk_path(inst, pairs)
+    angles = dict(zip(pairs, reports))
     endpoints = angles[(0.0, 1.0)]
     theta = float(endpoints.max_angle)
     rows: list[BoundRow] = []

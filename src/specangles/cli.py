@@ -24,7 +24,6 @@ from .bounds import (
     bound_favorable,
     constants,
     kappa_solve,
-    omega_component,
     truncate_digits,
     _kappa_equation,
 )
@@ -32,12 +31,11 @@ from .campaign import (
     CampaignConfig,
     ConfigError,
     checked_tol,
-    read_config,
     rows_csv,
     rows_jsonl,
     run_campaign,
+    walk_path,
 )
-from .geometry import angle_reports
 from .instances import sharpness_pair
 from .partitions import optimize
 
@@ -206,9 +204,8 @@ def cmd_sharpness(args) -> int:
     for k in range(count):
         v = start if count == 1 else start + k * (stop - start) / (count - 1)
         inst = sharpness_pair(v)
-        b0 = omega_component(inst, 0.0).bases
-        b1 = omega_component(inst, 1.0).bases
-        theta = angle_reports([(b0, b1)])[0].max_angle
+        _, (report,) = walk_path(inst, [(0.0, 1.0)])
+        theta = report.max_angle
         bound = bound_favorable(inst.v_norm, inst.d)
         margin = bound - theta
         worst = max(worst, abs(margin))
@@ -293,18 +290,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = read_config(args.config)
-    if args.seed_base is not None:
-        raw.pop("seeds", None)
-        raw["seed_base"] = args.seed_base
-    if args.trials is not None:
-        raw["trials"] = args.trials
-        if "seeds" in raw:
-            raw["seeds"] = raw["seeds"][: args.trials]
-    tol = _chosen_tol(args.tol, None)
-    if tol is not None:
-        raw.setdefault("tolerances", {})["default"] = tol
-    config = CampaignConfig.from_dict(raw)
+    config = CampaignConfig.from_json_file(
+        args.config,
+        trials=args.trials,
+        seed_base=args.seed_base,
+        tol=_chosen_tol(args.tol, None),
+    )
     reports = list(run_campaign(config))
     failures = sum(1 for report in reports if not report.passed)
     if args.format == "json":
@@ -387,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

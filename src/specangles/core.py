@@ -306,25 +306,6 @@ def set_distance(s1: IntervalSet, s2: IntervalSet) -> float:
     return best
 
 
-def classify_points(
-    points: Iterable[float], s1: IntervalSet, s2: IntervalSet, tol: float
-) -> list[str]:
-    """Label each point "first"/"second" by the set within `tol` of it, or
-    "outside" when neither is. The two sets must be disjoint with positive
-    distance; a point within tol of both raises (impossible once the set gap
-    exceeds 2*tol)."""
-    if set_distance(s1, s2) <= 0.0:
-        raise ValueError("sets must be disjoint with positive distance")
-    labels = []
-    for x in points:
-        near1 = s1.distance_to_point(x) <= tol
-        near2 = s2.distance_to_point(x) <= tol
-        if near1 and near2:
-            raise AmbiguousBoundaryError(f"point {x!r} within tolerance of both sets")
-        labels.append("first" if near1 else "second" if near2 else "outside")
-    return labels
-
-
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector with its rank; idempotency and trace are validated

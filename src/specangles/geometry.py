@@ -12,7 +12,6 @@ import numpy as np
 from .core import (
     PSD_TOL,
     Projector,
-    SpectralDecomposition,
     SymmetricMatrix,
     eigh,
     eigh_many,
@@ -76,10 +75,18 @@ class BlockSplit:
 
 
 def angle_report(p: Projector, q: Projector) -> AngleReport:
-    """`angle_reports` of one projector pair, whose bases come from one
-    stacked solve of the two projectors."""
-    dec_p, dec_q = eigh_many([p.matrix, q.matrix])
-    return angle_reports([(_projector_bases(p, dec_p), _projector_bases(q, dec_q))])[0]
+    """Sine spectrum |spec(P - Q)| of one projector pair, solving no
+    eigenproblem: since P - Q = P(I - Q) - (I - P)Q, its nonzero part is the
+    nonzero singular values of (I - P)Q and of P(I - Q) together, both taken
+    in one call of the one-sided kernel; they number at most n. Bit-identical
+    projectors give exact zeros without a solve."""
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
+    mp, mq = p.matrix.entries, q.matrix.entries
+    if np.array_equal(mp, mq):
+        return _report([], p.dim)
+    pq = mp @ mq
+    return _report(singular_values_many([mq - pq, mp - pq]), p.dim)
 
 
 def angle_reports(pairs: Sequence[tuple[Bases, Bases]]) -> list[AngleReport]:
@@ -129,27 +136,11 @@ def _singular_values(ms: list[np.ndarray]) -> list[np.ndarray]:
     return found
 
 
-def _range_bases(dec: SpectralDecomposition, rank: int) -> Bases:
-    # Eigenvalues ascending: the last `rank` columns span the range.
-    split = dec.dim - rank
-    return dec.eigenvectors[:, split:], dec.eigenvectors[:, :split]
-
-
-def _projector_bases(p: Projector, dec: SpectralDecomposition) -> Bases:
-    """`_range_bases` of P's decomposition, projected once more by P and
-    I - P. The solve stops at off-diagonal norm 1e-13 * (1 + ||P||_F), which
-    leaves a part of that size outside each subspace; the projection removes
-    it to first order and keeps the columns orthonormal to second order."""
-    u, perp = _range_bases(dec, p.rank)
-    m = p.matrix.entries
-    return m @ u, perp - m @ perp
-
-
 def _report(values: list[np.ndarray], n: int) -> AngleReport:
     sines = np.zeros(n)
     if values:
-        found = np.concatenate(values)
-        sines[: found.size] = np.sort(found)[::-1]
+        found = np.sort(np.concatenate(values))[::-1][:n]
+        sines[: found.size] = found
     sines = np.clip(sines, 0.0, 1.0)
     max_angle = math.asin(float(sines[0]))
     doubled = 2.0 * sines * np.sqrt(1.0 - sines * sines)
@@ -186,7 +177,9 @@ def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:
         raise ValueError("dimension mismatch")
     if q.rank == 0 or q.rank == q.dim:
         raise ValueError("projector must have nontrivial rank for a block split")
-    b0, b1 = _range_bases(eigh(q.matrix), q.rank)
+    vectors = eigh(q.matrix).eigenvectors
+    split = q.dim - q.rank
+    b0, b1 = vectors[:, split:], vectors[:, :split]
     basis = np.hstack([b0, b1])
     gram_residual = float(np.max(np.abs(basis.T @ basis - np.eye(q.dim))))
     if gram_residual > 1e-8:

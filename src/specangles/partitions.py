@@ -15,15 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (
-    C_CRIT_SEM,
-    DEFAULT_TOL,
-    PerturbationInstance,
-    bound_corollary,
-    omega_component,
-)
-from .core import eigh_many
-from .geometry import angle_reports
+from .bounds import C_CRIT_SEM, DEFAULT_TOL, PerturbationInstance, bound_corollary
+from .campaign import walk_path
 
 LAMBDA_MAX = 2.0 / math.pi
 PRODUCT_TOL = 1e-8
@@ -280,13 +273,7 @@ def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:
     if inst.v_norm >= inst.d:
         raise ValueError("gap non-closing hypothesis ||V|| < d violated")
 
-    later = iter(eigh_many([inst.perturbed(t) for t in grid if t > 0.0]))
-    bases = [
-        omega_component(inst, t, dec=inst.dec_a if t == 0.0 else next(later)).bases
-        for t in grid
-    ]
-    steps = list(zip(bases, bases[1:]))
-    reports = angle_reports([*steps, (bases[0], bases[-1])])
+    _, reports = walk_path(inst, [*zip(grid, grid[1:]), (0.0, 1.0)])
 
     lambdas = []
     caps: list[float | None] = []

@@ -510,7 +510,7 @@ class TestOmegaComponent:
         v = SymmetricMatrix.diagonal([0.05, 0.0])
         inst = PerturbationInstance.build(a, v, (0,))
         both_low = eigh(SymmetricMatrix.diagonal([0.0, 0.03]))
-        with pytest.raises(ValueError, match="changed size"):
+        with pytest.raises(ValueError, match="left its Weyl interval"):
             omega_component(inst, 1.0, dec=both_low)
 
     def test_detects_escaped_eigenvalue(self):
@@ -518,7 +518,7 @@ class TestOmegaComponent:
         v = SymmetricMatrix.diagonal([0.05, 0.0])
         inst = PerturbationInstance.build(a, v, (0,))
         stray = eigh(SymmetricMatrix.diagonal([10.0, 11.0]))
-        with pytest.raises(ValueError, match="escaped"):
+        with pytest.raises(ValueError, match="left its Weyl interval"):
             omega_component(inst, 1.0, dec=stray)
 
 

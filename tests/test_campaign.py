@@ -6,11 +6,15 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from specangles import (
     campaign,
     core,
+    angle_reports,
+    eigh,
+    omega_component,
     BoundRow,
     CampaignConfig,
     ConfigError,
@@ -102,6 +106,28 @@ class TestConfig:
         for key, value in (("v_ratios", 0.5), ("seeds", 5), ("plans", 3), ("plans", None)):
             with pytest.raises(ConfigError, match=key):
                 CampaignConfig.from_dict({"trials": 1, key: value})
+
+    def test_overrides_apply_after_own_checks(self):
+        raw = {"trials": 4, "seeds": [5, 6, 7, 8], "tolerances": {"log": 1e-3}}
+        assert CampaignConfig.from_dict(raw, trials=2).seeds == (5, 6)
+        assert CampaignConfig.from_dict(raw, seed_base=50).seeds == (50, 51, 52, 53)
+        cfg = CampaignConfig.from_dict(raw, seed_base=50, trials=6, tol=1e-6)
+        assert cfg.trials == 6 and cfg.seeds == tuple(range(50, 56))
+        assert cfg.tolerances == {"log": 1e-3, "default": 1e-6}
+        assert CampaignConfig.from_dict({"trials": 2, "seed_base": 9}, trials=3).seeds == (9, 10, 11)
+        with pytest.raises(ConfigError, match="seeds must"):
+            CampaignConfig.from_dict(raw, trials=5)
+        with pytest.raises(ConfigError, match="trials must"):
+            CampaignConfig.from_dict(raw, trials=-1)
+        # the config is checked before an override replaces what it gives
+        with pytest.raises(ConfigError, match="seeds must"):
+            CampaignConfig.from_dict({"trials": 1, "seeds": 5}, trials=1)
+        with pytest.raises(ConfigError, match="seeds must"):
+            CampaignConfig.from_dict({"trials": 1, "seeds": 5}, seed_base=3)
+        with pytest.raises(ConfigError, match="mapping"):
+            CampaignConfig.from_dict({"trials": 1, "tolerances": [1]}, tol=1e-8)
+        with pytest.raises(ConfigError, match="finite"):
+            CampaignConfig.from_dict({"trials": 1}, tol=math.inf)
 
     def test_tolerance_precedence(self):
         cfg = CampaignConfig.from_dict(
@@ -236,6 +262,50 @@ class TestRunCampaign:
         monkeypatch.setattr(core.Projector, "__post_init__", refuse)
         reports = list(run_campaign(small_config()))
         assert all(report.passed for report in reports)
+
+
+class TestWalkPath:
+    @pytest.mark.parametrize("n", [8, 48])
+    @pytest.mark.parametrize("plan", campaign.PLAN_NAMES)
+    def test_omega_keeps_sigma_indices(self, plan, n):
+        # Weyl's interlacing keeps omega_t at sigma's indices; the old
+        # classification against the two enlarged sets must agree with it,
+        # also on the doubly-interleaved plan's exact eigenvalue clusters
+        inst = campaign._build_instance(plan, n, 0.95, 400 + n)
+        later = core.eigh_many([inst.perturbed(t) for t in campaign.T_GRID[1:]])
+        for t, dec in zip(campaign.T_GRID, [inst.dec_a, *later]):
+            comp = omega_component(inst, t, dec=dec)
+            assert comp.omega_indices == inst.sigma_indices
+            shift = t * inst.v_norm
+            lower = core.shift_set(inst.sigma, shift)
+            upper = core.shift_set(inst.big_sigma, shift)
+            tol = core.membership_tol(dec.norm)
+            for k, lam in enumerate(dec.eigenvalues):
+                inside, other = (lower, upper) if k in inst.sigma_indices else (upper, lower)
+                assert inside.distance_to_point(float(lam)) <= tol
+                assert other.distance_to_point(float(lam)) > tol
+
+    @pytest.mark.parametrize("plan", campaign.PLAN_NAMES)
+    def test_same_bits_as_one_point_at_a_time(self, plan):
+        inst = campaign._build_instance(plan, 8, 0.65, 77)
+        pairs = [(0.0, 0.5), (0.5, 1.0), (0.25, 0.25), (0.0, 1.0)]
+        decs, reports = campaign.walk_path(inst, pairs)
+        assert list(decs) == [0.0, 0.5, 1.0, 0.25]
+        assert decs[0.0] is inst.dec_a
+        for t, dec in list(decs.items())[1:]:
+            alone = eigh(inst.perturbed(t))
+            assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
+        for (s, t), report in zip(pairs, reports, strict=True):
+            pair = (omega_component(inst, s).bases, omega_component(inst, t).bases)
+            assert np.array_equal(report.sines, angle_reports([pair])[0].sines)
+        assert reports[2].sines.tolist() == [0.0] * inst.a.dim
+
+    def test_one_path_call_for_distinct_times(self, kernel_calls):
+        inst = campaign._build_instance("convex-separated", 6, 0.5, 3)
+        kernel_calls.clear()
+        campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
+        assert kernel_calls == [(2, 6, 6), (3, 3, 3)]
 
 
 class TestSerialization:

@@ -299,6 +299,35 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"error: {key} must")
 
+    def test_trials_flag_on_scalar_seeds_is_usage_error(self, capsys, tmp_path):
+        payload = {"trials": 1, "seeds": 5}
+        code, out, err = run(
+            capsys, "verify", write_config(tmp_path, payload), "--trials", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seeds must")
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_default_tol_on_listed_tolerances_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        argv = ["verify", write_config(tmp_path, {"trials": 1, "tolerances": [1]})]
+        if source == "flag":
+            argv += ["--tol", "1e-8"]
+        else:
+            monkeypatch.setenv("TOOLKIT_TOL", "1e-8")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerances must")
+
+    def test_directory_as_config_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_rows_independent_of_hash_seed(self, tmp_path):
         # the same config gives the same bytes in separate interpreters,
         # whatever order their string hashing gives sets and dicts

@@ -18,7 +18,6 @@ from specangles import (
     Projector,
     SymmetricMatrix,
     ConvergenceError,
-    classify_points,
     eigh,
     eigh_many,
     set_distance,
@@ -207,7 +206,6 @@ class TestSingularValuesMany:
 
     def test_one_row_has_no_rounds(self):
         assert _jacobi._pairs(1) == ()
-        assert _jacobi._round_robin(1) == ()
         b = np.array([[[3.0, 4.0]], [[0.0, 0.0]]])
         sweeps, converged = _jacobi.hestenes_sweeps(b, 1e-13, 100)
         assert sweeps.tolist() == [0, 0] and converged.all()
@@ -345,25 +343,6 @@ class TestSetOperations:
         after = set_distance(shift_set(s1, t), s2)
         assert after <= before + 1e-12
         assert after >= before - t - 1e-12
-
-
-class TestClassifyPoints:
-    def test_basic_labels(self):
-        s1 = IntervalSet(((-1.0, 0.0),))
-        s2 = IntervalSet(((2.0, 3.0),))
-        labels = classify_points([-0.5, 2.5, 1.0], s1, s2, tol=0.1)
-        assert labels == ["first", "second", "outside"]
-
-    def test_requires_separation(self):
-        overlapping = IntervalSet(((0.0, 1.0),))
-        with pytest.raises(ValueError):
-            classify_points([0.5], overlapping, IntervalSet(((0.5, 2.0),)), tol=0.1)
-
-    def test_ambiguity_raises(self):
-        s1 = IntervalSet(((0.0, 1.0),))
-        s2 = IntervalSet(((1.5, 2.0),))
-        with pytest.raises(AmbiguousBoundaryError):
-            classify_points([1.25], s1, s2, tol=0.4)
 
 
 class TestProjectors:

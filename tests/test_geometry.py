@@ -65,6 +65,14 @@ class TestAngleReport:
         assert report.max_angle == pytest.approx(math.pi / 2, abs=1e-15)
         assert report.sin2_norm == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_singular_value_call_and_no_eigensolve(self, kernel_calls):
+        p, q = haar_projector(6, 2, 10), haar_projector(6, 3, 11)
+        angle_report(p, q)
+        assert kernel_calls == [(2, 6, 6)]
+        kernel_calls.clear()
+        assert angle_report(p, p).sines.tolist() == [0.0] * 6
+        assert kernel_calls == []
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             angle_report(haar_projector(4, 2, 4), haar_projector(5, 2, 5))
@@ -131,6 +139,13 @@ class TestAngleReportsFromBases:
         via_gram = np.sqrt(np.linalg.eigvalsh(s.T @ s).clip(0.0)).min()
         for shortcut in (via_cosines, via_gram):
             assert abs(shortcut / math.sin(1e-9) - 1.0) > 0.5
+        # the projector route keeps it too: the products (I - P)Q and P(I - Q)
+        # carry the small sine to the one-sided kernel without a cancellation
+        p_proj, q_proj = (
+            Projector(SymmetricMatrix(u @ u.T), rank=2) for u in (p[0], q[0])
+        )
+        sines = angle_report(p_proj, q_proj).sines
+        assert sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6)
 
     def test_same_span_different_bases_has_zero_product(self):
         # the bases differ, but S = U_perp_s^T U_t is exactly zero

@@ -189,6 +189,15 @@ class TestChainDemo:
         assert chain.per_step_angles == steps
         assert chain.total_angle == angle_reports([(bases[0], bases[-1])])[0].max_angle
 
+    def test_repeated_grid_point_is_solved_once(self, kernel_calls):
+        # t = 0.5 appears twice but is solved once; the zero step's bases are
+        # bit-identical, so only three 4 x 4 products are solved
+        inst = random_instance(8, interleaved_plan(8), 0.5, seed=12)
+        kernel_calls.clear()
+        chain = chain_demo(inst, (0.0, 0.5, 0.5, 1.0))
+        assert kernel_calls == [(2, 8, 8), (3, 4, 4)]
+        assert chain.per_step_angles[1] == 0.0
+
     def test_oversized_step_has_no_cap(self):
         chain = chain_demo(sharpness_instance(0.9), (0.0, 1.0))
         assert chain.local_caps == (None,)
