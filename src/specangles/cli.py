@@ -195,9 +195,12 @@ def cmd_scan(args) -> int:
 
 def cmd_sharpness(args) -> int:
     start, stop, count = args.grid
+    # float.is_integer is False for inf and nan as well as for 2.7
+    if not (float(count).is_integer() and count >= 1 and 0.0 <= start <= stop < 1.0):
+        raise ConfigError(
+            "grid must satisfy 0 <= start <= stop < 1 with an integer count >= 1"
+        )
     count = int(count)
-    if count < 1 or not (0.0 <= start <= stop < 1.0):
-        raise ConfigError("grid must satisfy 0 <= start <= stop < 1 with count >= 1")
     tol = _chosen_tol(args.tol, 1e-9)
     rows = []
     worst = 0.0

@@ -164,11 +164,13 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     of the one-sided Jacobi kernel.
 
     Each matrix is oriented with its shorter side as rows, whose pairs are
-    rotated until |b_p . b_q| <= 1e-13 * |b_p| * |b_q| for every pair in a
-    whole sweep; the row norms are then the singular values, small ones to
-    high relative accuracy (Demmel & Veselic 1992). Nothing forms M^T M.
-    A matrix gets the same values alone or in a stack. Hard cap of 100
-    sweeps; raises ConvergenceError if any matrix is still rotating there.
+    rotated until |b_p . b_q| <= 1e-13 * |b_p| * |b_q| for every pair; the
+    row norms are then the singular values, small ones to high relative
+    accuracy (Demmel & Veselic 1992). The Gram matrix of the current rows
+    only picks each round's rotations: no value is read from the eigenvalues
+    of M^T M. A matrix gets the same values alone or in a stack. Hard cap of
+    100 sweeps; raises ConvergenceError if any matrix misses the tolerance
+    there.
     """
     if not len(ms):
         return []
@@ -178,11 +180,12 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     b = np.array(ms, dtype=float)
     if shape[0] > shape[1]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
-    _, converged = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
-    if not np.all(converged):
+    _, off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
+    failed = np.flatnonzero(off > JACOBI_TOL)
+    if failed.size:
         raise ConvergenceError(
-            f"no convergence in {MAX_SWEEPS} sweeps: rows not orthogonal to "
-            f"relative tolerance {JACOBI_TOL:.0e}"
+            f"no convergence in {MAX_SWEEPS} sweeps: row cosine "
+            f"{off[failed[0]]:.3e} above tolerance {JACOBI_TOL:.0e}"
         )
     values = np.sqrt(np.sum(b * b, axis=-1))
     return list(np.sort(values, axis=1)[:, ::-1])

@@ -98,8 +98,9 @@ def angle_reports(pairs: Sequence[tuple[Bases, Bases]]) -> list[AngleReport]:
     spec(P - Q) is +-sigma(U_perp_P^T U_Q) and +-sigma(U_P^T U_perp_Q). For
     equal ranks the two sets coincide, so only the first product is formed
     and each of its singular values appears twice; unequal ranks take both.
-    Nothing forms P - Q, S^T S or a cosine. Two bit-identical bases U span
-    the same subspace, so their sines are exactly zero and nothing is solved.
+    Nothing forms P - Q, and no sine is read from S^T S or from a cosine.
+    Two bit-identical bases U span the same subspace, so their sines are
+    exactly zero and nothing is solved.
     """
     products = []
     for (u_s, perp_s), (u_t, perp_t) in pairs:

@@ -36,9 +36,16 @@ from specangles import (
     gap_persistence,
     kappa_solve,
     omega_component,
+    shift_set,
     truncate_digits,
 )
-from specangles.bounds import INTERLEAVED, KAPPA_SUP, N_BREAK_1, N_BREAK_2
+from specangles.bounds import (
+    INTERLEAVED,
+    KAPPA_SUP,
+    N_BREAK_1,
+    N_BREAK_2,
+    _shifted_margins,
+)
 
 # Frozen oracles.
 FROZEN_C_CRIT_SEM = 0.9096799222654122
@@ -418,6 +425,22 @@ class TestEnclosure:
         report = enclosure_check(inst, 0.5, dec=wrong)
         assert not report.passed
         assert report.worst_margin < -1.0
+
+    def test_margins_match_interval_set_bit_for_bit(self):
+        # Ties, touching and overlapping shifts, shift 0, and points on,
+        # between and beyond every interval end.
+        rng = np.random.default_rng(2024)
+        for case in range(3000):
+            n = int(rng.integers(1, 9))
+            points = np.round(rng.normal(0.0, 2.0, n), int(rng.integers(0, 3)))
+            shift = [0.0, 0.5, float(rng.uniform(0.0, 3.0))][case % 3]
+            x = np.concatenate(
+                [points, points + shift, rng.normal(0.0, 4.0, 6), [-1e3, 1e3]]
+            )
+            allowed = shift_set(IntervalSet.from_points(points), shift)
+            oracle = np.array([allowed.signed_margin(float(v)) for v in x])
+            margins = _shifted_margins(points, shift, x)
+            assert margins.tobytes() == oracle.tobytes()
 
     def test_t_range(self):
         a, w = sharpness_matrices(0.5)

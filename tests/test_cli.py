@@ -146,6 +146,16 @@ class TestSharpness:
         assert code == 2
         assert "grid" in err
 
+    def test_infinite_grid_count_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sharpness", "--grid", "0.1", "0.5", "inf")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "integer count" in err
+
+    def test_fractional_grid_count_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sharpness", "--grid", "0.1", "0.5", "2.7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "integer count" in err
+
 
 class TestOptimize:
     def test_matches_closed_form(self, capsys):

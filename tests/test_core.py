@@ -136,6 +136,51 @@ class TestJacobiKernel:
         assert sweeps.tolist() == [1]
         assert off.tolist() == [0.0]
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_pairs_cover_every_pair_once_per_sweep(self, n):
+        seen = []
+        for offsets in _jacobi._pairs(n):
+            pairs = len(offsets) // 4
+            p = offsets[:pairs] // (n + 1)
+            q = offsets[pairs : 2 * pairs] // (n + 1)
+            assert np.all(p < q) and np.all(np.diff(p) > 0)
+            blocks = [p * n + p, q * n + q, p * n + q, q * n + p]
+            assert np.array_equal(offsets, np.concatenate(blocks))
+            # the pairs of a round are disjoint
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * pairs
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_both_kernels_stop_within_tolerance(self):
+        g = PortableRng(74).gaussians(4 * 9 * 9).reshape(4, 9, 9)
+        a = g + g.transpose(0, 2, 1)
+        vec = np.repeat(np.eye(9)[None], 4, axis=0)
+        tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
+        sweeps, off = _jacobi.jacobi_sweeps(a, vec, tol, 100)
+        assert np.all(sweeps > 0) and np.all(off <= tol)
+        b = g[:, :5].copy()
+        sweeps, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        assert np.all(sweeps > 0) and np.all(off <= 1e-13)
+
+    def test_one_sided_off_is_the_largest_row_cosine(self):
+        b = PortableRng(75).gaussians(3 * 6 * 11).reshape(3, 6, 11)
+        b[1] *= np.logspace(0, -9, 6)[:, None]
+        _, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        for m, value in zip(b, off, strict=True):
+            norms = np.linalg.norm(m, axis=1)
+            cosines = np.abs(m @ m.T) / np.outer(norms, norms)
+            oracle = cosines[~np.eye(6, dtype=bool)].max()
+            assert value == pytest.approx(oracle, rel=1e-9)
+
+    def test_zero_row_beside_orthogonal_rows_needs_no_sweep(self):
+        b = np.zeros((1, 3, 4))
+        b[0, 0] = [3.0, 0.0, 0.0, 1.0]
+        b[0, 2] = [0.0, 2.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweeps, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        assert sweeps.tolist() == [0] and off.tolist() == [0.0]
+
 
 class TestEighMany:
     def stack(self):
@@ -207,8 +252,8 @@ class TestSingularValuesMany:
     def test_one_row_has_no_rounds(self):
         assert _jacobi._pairs(1) == ()
         b = np.array([[[3.0, 4.0]], [[0.0, 0.0]]])
-        sweeps, converged = _jacobi.hestenes_sweeps(b, 1e-13, 100)
-        assert sweeps.tolist() == [0, 0] and converged.all()
+        sweeps, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        assert sweeps.tolist() == [0, 0] and off.tolist() == [0.0, 0.0]
         assert [v.tolist() for v in singular_values_many(list(b))] == [[5.0], [0.0]]
         assert singular_values_many([np.array([[3.0], [4.0]])])[0].tolist() == [5.0]
 
@@ -219,8 +264,9 @@ class TestSingularValuesMany:
         assert values[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(core, "MAX_SWEEPS", 1)
-        # orthogonal rows need one sweep, to find that no pair rotates
+        monkeypatch.setattr(core, "MAX_SWEEPS", 0)
+        # the stopping rule is checked before the first sweep: orthogonal rows
+        # need none, a random 2x3 matrix needs one
         orthogonal = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         assert singular_values_many([orthogonal])[0].tolist() == [3.0, 2.0]
         with pytest.raises(ConvergenceError):
