@@ -5,7 +5,8 @@ Setting: A symmetric with spectrum split into components sigma and Sigma at
 distance d > 0, perturbed along the path A + tV with V >= 0 and ||V|| < d.
 The subspace tracked is the one belonging to omega_t, the part of
 spec(A + tV) trapped in the one-sided enlargement sigma + [0, t*||V||]; by
-Weyl's inequalities these are the eigenvalues at sigma's indices.
+Weyl's inequalities these are the eigenvalues at sigma's indices, so sigma
+is carried by its indices alone and omega_t is selected by the same ones.
 This module provides the enclosure and gap-persistence facts, the angle
 bounds (favorable-geometry, sin-2-theta, arcsin corollary, generic N, log
 integral) with angle_bounds deciding their hypotheses, the piecewise bound
@@ -30,7 +31,6 @@ from .core import (
     eigh_many,
     membership_tol,
     set_distance,
-    shift_set,
     spectral_projector,
 )
 
@@ -75,16 +75,15 @@ def _asin_guarded(arg: float) -> float:
 class PerturbationInstance:
     """A perturbation problem: base matrix, PSD perturbation, and the index
     set singling out the tracked spectral component sigma of A. The derived
-    fields (spectra as point sets, gap d, ||V||, hull geometry) are computed
-    once in assemble()."""
+    fields (A's decomposition, gap d, ||V||, hull geometry) are computed once
+    in assemble(); sigma's eigenvalues are dec_a.eigenvalues at
+    sigma_indices."""
 
     a: SymmetricMatrix
     v: SymmetricMatrix
     sigma_indices: tuple[int, ...]
     label: str
     dec_a: SpectralDecomposition
-    sigma: IntervalSet
-    big_sigma: IntervalSet
     d: float
     v_norm: float
     geometry: str
@@ -157,8 +156,6 @@ class PerturbationInstance:
             sigma_indices=idx,
             label=label,
             dec_a=dec_a,
-            sigma=sigma,
-            big_sigma=big_sigma,
             d=d,
             v_norm=float(np.max(np.abs(wv))),
             geometry=geometry,
@@ -175,16 +172,15 @@ class PerturbationInstance:
 @dataclass(frozen=True, eq=False)
 class OmegaComponent:
     """The tracked spectral component of A + tV: indices into its ascending
-    spectrum, the decomposition they index, the bases (U_t, U_perp_t) of
-    Ran P_t and of its complement (the selected eigenvector columns and the
-    rest, in index order), and the enclosure interval set sigma + [0, t*||V||]
-    that traps it. The n x n projector P_t is built on first access only."""
+    spectrum (sigma's, by Weyl), the decomposition they index, and the bases
+    (U_t, U_perp_t) of Ran P_t and of its complement (the selected
+    eigenvector columns and the rest, in index order). The n x n projector
+    P_t is built on first access only."""
 
     t: float
     omega_indices: tuple[int, ...]
     dec: SpectralDecomposition
     bases: tuple[np.ndarray, np.ndarray]
-    enclosure: IntervalSet
 
     @cached_property
     def projector(self) -> Projector:
@@ -313,8 +309,7 @@ def omega_component(
     bases = (dec.eigenvectors[:, selected], dec.eigenvectors[:, ~selected])
     for basis in bases:
         basis.setflags(write=False)
-    enclosure = shift_set(inst.sigma, shift)
-    return OmegaComponent(t=t, omega_indices=idx, dec=dec, bases=bases, enclosure=enclosure)
+    return OmegaComponent(t=t, omega_indices=idx, dec=dec, bases=bases)
 
 
 def continuity_modulus(v_norm: float, d: float, s: float, t: float) -> float:

@@ -45,6 +45,11 @@ PLAN_NAMES = (CONVEX_SEPARATED, DOUBLY_INTERLEAVED, "sharpness", "rank-one")
 
 ROW_FIELDS = ("instance_id", "t", "theta", "bound_name", "bound_value", "margin", "pass")
 
+# Every bound_name a trial can emit, in the order _measure_trial adds them;
+# each is also a tolerance key of the config, besides "default".
+BOUND_NAMES = ("enclosure", "sin2theta", "favorable", "corollary", "generic", "log",
+               "continuity", "rank-one")
+
 
 class ConfigError(ValueError):
     """Campaign config rejected: unknown key, bad type, or bad value."""
@@ -148,9 +153,7 @@ class CampaignConfig:
         tol_raw = raw.get("tolerances", {})
         if not isinstance(tol_raw, dict):
             raise ConfigError("tolerances must be a mapping")
-        allowed = {"default", "enclosure", "sin2theta", "corollary", "favorable",
-                   "generic", "log", "continuity", "rank-one"}
-        bad = set(tol_raw) - allowed
+        bad = set(tol_raw) - {"default", *BOUND_NAMES}
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
         tolerances = {

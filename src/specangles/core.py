@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,15 +23,9 @@ JACOBI_TOL = 1e-13
 MEMBERSHIP_TOL_FACTOR = 1e-8
 PSD_TOL = 1e-10
 
-Selection = Union["IntervalSet", Sequence[int]]
-
 
 class ConvergenceError(RuntimeError):
     """Iteration cap reached before the convergence criterion."""
-
-
-class AmbiguousBoundaryError(ValueError):
-    """A point sits within tolerance of a set boundary it does not belong to."""
 
 
 def membership_tol(scale: float) -> float:
@@ -124,19 +118,30 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     every nonzero pivot.
 
     Converged when the off-diagonal Frobenius norm drops below
-    1e-13 * (1 + ||M||_F); hard cap of 100 sweeps. Ordering is ascending with
-    ties left in stable (original index) order, and each eigenvector's
-    largest-magnitude component is made positive, so identical input gives
-    identical output.
+    1e-13 * (1 + ||M||_F), on M divided by a power of two (see `_scaled`);
+    hard cap of 100 sweeps. Ordering is ascending with ties left in stable
+    (original index) order, and each eigenvector's largest-magnitude
+    component is made positive, so identical input gives identical output.
     """
     return eigh_many([m])[0]
+
+
+def _scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of the stack divided by 2^e, and the exponents e, where e
+    puts its largest |entry| in [1/2, 1) (e >= -1021, so 2^-e stays finite).
+    The division is exact in the normal range, so the kernels keep every bit
+    they give unscaled, while squares of entries near overflow or underflow
+    no longer overflow or flush to zero."""
+    _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))
+    e = np.maximum(e, -1021)
+    return np.ldexp(stack, -e[:, None, None]), e
 
 
 def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     """Eigendecompositions of several same-size matrices in one kernel call.
 
     Each matrix gets exactly the decomposition `eigh` gives it alone: its own
-    tolerance and sweep cap, and the conventions of `decompositions`.
+    scale, tolerance and sweep cap, and the conventions of `decompositions`.
     Raises ConvergenceError if any matrix misses its tolerance.
     """
     if not ms:
@@ -144,33 +149,36 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     n = ms[0].dim
     if any(m.dim != n for m in ms):
         raise ValueError("all matrices must have the same dimension")
-    a = np.array([m.entries for m in ms], dtype=float)
+    a, e = _scaled(np.array([m.entries for m in ms], dtype=float))
     vec = np.repeat(np.eye(n)[None], len(ms), axis=0)
     fro = np.sqrt(np.sum(a * a, axis=(1, 2)))
-    tol = JACOBI_TOL * (1.0 + fro)
+    # 1e-13 * (1 + ||M||_F) in the units of the scaled matrix
+    tol = JACOBI_TOL * (np.ldexp(1.0, -e) + fro)
     _, off = jacobi_sweeps(a, vec, tol, MAX_SWEEPS)
     failed = np.flatnonzero(off > tol)
     if failed.size:
         k = int(failed[0])
         raise ConvergenceError(
             f"no convergence in {MAX_SWEEPS} sweeps: off-diagonal residual "
-            f"{off[k]:.3e} above tolerance {tol[k]:.3e}"
+            f"{np.ldexp(off[k], e[k]):.3e} above tolerance "
+            f"{np.ldexp(tol[k], e[k]):.3e}"
         )
-    return decompositions(np.diagonal(a, axis1=1, axis2=2), vec)
+    return decompositions(np.ldexp(np.diagonal(a, axis1=1, axis2=2), e[:, None]), vec)
 
 
 def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Singular values, descending, of several same-shape matrices in one call
     of the one-sided Jacobi kernel.
 
-    Each matrix is oriented with its shorter side as rows, whose pairs are
-    rotated until |b_p . b_q| <= 1e-13 * |b_p| * |b_q| for every pair; the
-    row norms are then the singular values, small ones to high relative
-    accuracy (Demmel & Veselic 1992). The Gram matrix of the current rows
-    only picks each round's rotations: no value is read from the eigenvalues
-    of M^T M. A matrix gets the same values alone or in a stack. Hard cap of
-    100 sweeps; raises ConvergenceError if any matrix misses the tolerance
-    there.
+    Each matrix is divided by a power of two (see `_scaled`) and oriented
+    with its shorter side as rows, whose pairs are rotated until
+    |b_p . b_q| <= 1e-13 * |b_p| * |b_q| for every pair; the row norms, scaled
+    back, are the singular values, small ones to high relative accuracy
+    (Demmel & Veselic 1992) from subnormal to near overflow. The Gram matrix
+    of the current rows only picks each round's rotations: no value is read
+    from the eigenvalues of M^T M. A matrix gets the same values alone or in
+    a stack. Hard cap of 100 sweeps; raises ConvergenceError if any matrix
+    misses the tolerance there.
     """
     if not len(ms):
         return []
@@ -180,6 +188,7 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     b = np.array(ms, dtype=float)
     if shape[0] > shape[1]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
+    b, e = _scaled(b)
     _, off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
     failed = np.flatnonzero(off > JACOBI_TOL)
     if failed.size:
@@ -187,7 +196,7 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
             f"no convergence in {MAX_SWEEPS} sweeps: row cosine "
             f"{off[failed[0]]:.3e} above tolerance {JACOBI_TOL:.0e}"
         )
-    values = np.sqrt(np.sum(b * b, axis=-1))
+    values = np.ldexp(np.sqrt(np.sum(b * b, axis=-1)), e[:, None])
     return list(np.sort(values, axis=1)[:, ::-1])
 
 
@@ -272,9 +281,6 @@ class IntervalSet:
             best = min(best, lo - x if x < lo else x - hi)
         return best
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.distance_to_point(x) <= tol
-
     def signed_margin(self, x: float) -> float:
         """Depth inside the set (nonnegative) or minus the distance outside."""
         self._require_nonempty()
@@ -282,13 +288,6 @@ class IntervalSet:
             if lo <= x <= hi:
                 return min(x - lo, hi - x)
         return -self.distance_to_point(x)
-
-    def to_json(self) -> str:
-        return json.dumps([[lo, hi] for lo, hi in self.intervals])
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntervalSet":
-        return cls(tuple((float(lo), float(hi)) for lo, hi in json.loads(text)))
 
 
 def shift_set(s: IntervalSet, t: float) -> IntervalSet:
@@ -332,42 +331,19 @@ class Projector:
     def dim(self) -> int:
         return self.matrix.dim
 
-    def complement(self) -> "Projector":
-        return Projector(
-            SymmetricMatrix(np.eye(self.dim) - self.matrix.entries),
-            self.dim - self.rank,
-        )
 
+def spectral_projector(dec: SpectralDecomposition, indices: Iterable[int]) -> Projector:
+    """Projector onto the span of the eigenvectors at `indices`.
 
-def spectral_projector(dec: SpectralDecomposition, selection: Selection) -> Projector:
-    """Projector onto the span of the selected eigenvectors.
-
-    `selection` is either an index set or an IntervalSet; with an IntervalSet,
-    every eigenvalue must be unambiguously inside or outside (an eigenvalue
-    within membership tolerance of a boundary, but not inside, raises). Built
-    as a sum of outer products over the index set, so degenerate clusters are
-    handled exactly regardless of basis rotation within the cluster.
+    Built as a sum of outer products over the index set, so degenerate
+    clusters are handled exactly regardless of basis rotation within the
+    cluster. Duplicate or out-of-range indices raise ValueError.
     """
-    w = dec.eigenvalues
-    if isinstance(selection, IntervalSet):
-        radius = max(abs(float(w[0])), abs(float(w[-1])))
-        tol = membership_tol(radius)
-        idx = []
-        for k, lam in enumerate(w):
-            lam = float(lam)
-            if selection.contains(lam):
-                idx.append(k)
-            elif selection.distance_to_point(lam) <= tol:
-                raise AmbiguousBoundaryError(
-                    f"eigenvalue {lam!r} within tolerance {tol:.3e} of a "
-                    "selection boundary but not inside"
-                )
-    else:
-        idx = sorted(int(k) for k in selection)
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate indices in selection")
-        if idx and (idx[0] < 0 or idx[-1] >= dec.dim):
-            raise ValueError("selection index out of range")
+    idx = sorted(int(k) for k in indices)
+    if len(set(idx)) != len(idx):
+        raise ValueError("duplicate indices in selection")
+    if idx and (idx[0] < 0 or idx[-1] >= dec.dim):
+        raise ValueError("selection index out of range")
     cols = dec.eigenvectors[:, idx]
     p = cols @ cols.T
     return Projector(SymmetricMatrix(p), rank=len(idx))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,24 +32,6 @@ class AngleReport:
     sines: np.ndarray
     max_angle: float
     sin2_norm: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sines": self.sines.tolist(),
-                "max_angle": self.max_angle,
-                "sin2_norm": self.sin2_norm,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AngleReport":
-        obj = json.loads(text)
-        return cls(
-            sines=np.asarray(obj["sines"], dtype=float),
-            max_angle=float(obj["max_angle"]),
-            sin2_norm=float(obj["sin2_norm"]),
-        )
 
 
 @dataclass(frozen=True, eq=False)

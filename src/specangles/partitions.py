@@ -43,10 +43,6 @@ class PartitionPlan:
     def to_json(self) -> dict:
         return {"x": self.x, "lambdas": list(self.lambdas), "objective": self.objective}
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "PartitionPlan":
-        return make_plan(float(payload["x"]), [float(v) for v in payload["lambdas"]])
-
 
 @dataclass(frozen=True)
 class ChainPlan:

@@ -204,6 +204,15 @@ class TestRunCampaign:
             keys = [(row.bound_name, row.t) for row in report.rows]
             assert keys == sorted(keys)
 
+    def test_bound_names_are_every_row_name(self):
+        # a row name missing from BOUND_NAMES would get no configurable tolerance
+        config = small_config(trials=4, v_ratios=[0.3])
+        names = {row.bound_name for row in rows_of(run_campaign(config))}
+        assert names == set(campaign.BOUND_NAMES)
+        tolerances = dict.fromkeys(("default", *campaign.BOUND_NAMES), 1e-6)
+        raw = {"trials": 1, "tolerances": tolerances}
+        assert CampaignConfig.from_dict(raw).tolerances == tolerances
+
     def test_geometry_controls_bound_selection(self, reports):
         by_plan = {}
         for k, report in enumerate(reports):
@@ -277,8 +286,10 @@ class TestWalkPath:
             comp = omega_component(inst, t, dec=dec)
             assert comp.omega_indices == inst.sigma_indices
             shift = t * inst.v_norm
-            lower = core.shift_set(inst.sigma, shift)
-            upper = core.shift_set(inst.big_sigma, shift)
+            w = inst.dec_a.eigenvalues
+            in_sigma = np.isin(np.arange(w.size), inst.sigma_indices)
+            lower = core.shift_set(core.IntervalSet.from_points(w[in_sigma]), shift)
+            upper = core.shift_set(core.IntervalSet.from_points(w[~in_sigma]), shift)
             tol = core.membership_tol(dec.norm)
             for k, lam in enumerate(dec.eigenvalues):
                 inside, other = (lower, upper) if k in inst.sigma_indices else (upper, lower)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specangles import (
-    AngleReport,
     PortableRng,
     Projector,
     SymmetricMatrix,
@@ -76,12 +75,6 @@ class TestAngleReport:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             angle_report(haar_projector(4, 2, 4), haar_projector(5, 2, 5))
-
-    def test_json_round_trip(self):
-        report = angle_report(haar_projector(6, 2, 6), haar_projector(6, 2, 7))
-        again = AngleReport.from_json(report.to_json())
-        assert np.array_equal(report.sines, again.sines)
-        assert report.max_angle == again.max_angle
 
     def test_sin_two_theta_matches_report(self):
         p = haar_projector(7, 3, 8)

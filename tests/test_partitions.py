@@ -8,7 +8,6 @@ import pytest
 from specangles import (
     C_CRIT_SEM,
     N_eval,
-    PartitionPlan,
     PerturbationInstance,
     SymmetricMatrix,
     angle_reports,
@@ -78,13 +77,6 @@ class TestMakePlan:
             make_plan(1.0, [0.5])
         with pytest.raises(ValueError):
             make_plan(-0.1, [0.1])
-
-    def test_json_round_trip(self):
-        plan = make_plan(0.4, [1.0 - math.sqrt(0.6)] * 2)
-        again = PartitionPlan.from_json(plan.to_json())
-        assert again.x == plan.x
-        assert again.lambdas == pytest.approx(plan.lambdas, abs=1e-15)
-        assert again.objective == pytest.approx(plan.objective, abs=1e-15)
 
 
 class TestOptimize:
