@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
-    PSD_TOL,
     IntervalSet,
     Projector,
     SpectralDecomposition,
@@ -30,6 +29,7 @@ from .core import (
     eigh,
     eigh_many,
     membership_tol,
+    require_psd,
     set_distance,
     spectral_projector,
 )
@@ -52,6 +52,12 @@ ASIN_SLACK = 1e-12
 
 # Default margin tolerance: a bound passes while bound - measured >= -tol.
 DEFAULT_TOL = 1e-8
+
+# Largest residual of the kappa equation that kappa_solve returns.
+KAPPA_TOL = 1e-13
+
+# The bounds angle_bounds evaluates, in the order it gives them.
+ANGLE_BOUND_NAMES = ("favorable", "corollary", "generic", "log")
 
 CONVEX_SEPARATED = "convex-separated"
 INTERLEAVED = "interleaved"
@@ -112,11 +118,11 @@ class PerturbationInstance:
         label: str = "",
     ) -> "PerturbationInstance":
         """Instance from A, V, A's decomposition in eigh's conventions and
-        V's eigenvalues, solving nothing. The data are checked, not trusted:
-        A*Q = Q*diag(w) and Q^T*Q = I (O(n^3)), and V's trace and Frobenius
-        norm against its eigenvalues (O(n^2)), within the membership
-        tolerance of each matrix's Frobenius norm; a mismatch raises
-        ValueError."""
+        V's eigenvalues, solving nothing. The data are checked, not trusted,
+        each relative to its scale: A*Q = Q*diag(w) (O(n^3)) and V's trace and
+        Frobenius norm against its eigenvalues (O(n^2)) within the membership
+        tolerance of each matrix's Frobenius norm, Q^T*Q = I within that of 1,
+        and V by require_psd; a mismatch raises ValueError."""
         if a.dim != v.dim:
             raise ValueError("dimension mismatch between A and V")
         idx = tuple(sorted(int(k) for k in sigma_indices))
@@ -130,7 +136,7 @@ class PerturbationInstance:
         tol = membership_tol(np.linalg.norm(a.entries))
         if np.any(np.diff(w) < 0.0) or not (
             np.allclose(a.entries @ q, q * w, rtol=0.0, atol=tol)
-            and np.allclose(q.T @ q, np.eye(a.dim), rtol=0.0, atol=membership_tol(0.0))
+            and np.allclose(q.T @ q, np.eye(a.dim), rtol=0.0, atol=membership_tol(1.0))
         ):
             raise ValueError("dec_a is not an ascending eigendecomposition of A")
         wv = np.asarray(v_eigenvalues, dtype=float)
@@ -138,8 +144,7 @@ class PerturbationInstance:
         tol = membership_tol(v_fro)
         if abs(np.trace(v.entries) - wv.sum()) > tol or abs(v_fro - np.linalg.norm(wv)) > tol:
             raise ValueError("v_eigenvalues do not match the spectrum of V")
-        if float(wv.min()) < -PSD_TOL:
-            raise ValueError("V must be positive semidefinite")
+        require_psd(wv)
         in_sigma = np.zeros(a.dim, dtype=bool)
         in_sigma[list(idx)] = True
         sigma = IntervalSet.from_points(w[in_sigma])
@@ -283,7 +288,7 @@ def omega_component(
     lambda_k(A) + t*||V|| for every k, so while t*||V|| < d the part of the
     spectrum in sigma + [0, t*||V||] is exactly the eigenvalues at sigma's
     indices. That is checked, not assumed: an eigenvalue outside its own Weyl
-    interval by more than the membership tolerance raises ValueError. `dec`
+    interval by more than membership_tol(||A + tV||) raises ValueError. `dec`
     defaults to inst.spectrum(t), so t = 0 reuses build()'s solve of A.
     """
     if not 0.0 <= t <= 1.0:
@@ -295,7 +300,7 @@ def omega_component(
         dec = inst.spectrum(t)
     w = dec.eigenvalues
     lower = inst.dec_a.eigenvalues
-    tol = membership_tol(max(abs(float(w[0])), abs(float(w[-1]))))
+    tol = membership_tol(dec.norm)
     outside = np.flatnonzero((w < lower - tol) | (w > lower + shift + tol))
     if outside.size:
         k = int(outside[0])
@@ -398,7 +403,7 @@ def kappa_solve() -> float:
 
         arcsin((pi/2)(1 - sqrt(1-2k))) = (3/2) arcsin((pi/2)(1 - cbrt(1-2k)))
 
-    found by bisection, then residual-checked below 1e-13.
+    found by bisection, then residual-checked below KAPPA_TOL.
     """
     lo, hi = 1e-4, KAPPA_SUP
     f_lo, f_hi = _kappa_equation(lo), _kappa_equation(hi)
@@ -414,7 +419,7 @@ def kappa_solve() -> float:
             hi = mid
     kappa = 0.5 * (lo + hi)
     residual = abs(_kappa_equation(kappa))
-    if residual > 1e-13:
+    if residual > KAPPA_TOL:
         raise ValueError(f"bisection stalled with residual {residual:.3e}")
     return kappa
 
@@ -458,19 +463,16 @@ def bound_log(v_norm: float, d: float) -> LogBound:
 
 
 def angle_bounds(v_norm: float, d: float, convex: bool) -> dict[str, float]:
-    """The value of each angle bound whose hypothesis holds, in the order
-    favorable, corollary, generic, log; a bound whose hypothesis fails is
-    absent, never fabricated."""
-    values = {}
-    if convex and v_norm < d:
-        values["favorable"] = bound_favorable(v_norm, d)
-    if v_norm <= 2.0 * d / math.pi:
-        values["corollary"] = bound_corollary(v_norm, d)
-    if v_norm < C_CRIT_SEM * d:
-        values["generic"] = bound_generic(v_norm, d)
-    if v_norm < d:
-        values["log"] = bound_log(v_norm, d).value
-    return values
+    """The value of each angle bound whose hypothesis holds, keyed and
+    ordered by ANGLE_BOUND_NAMES; a bound whose hypothesis fails is absent,
+    never fabricated."""
+    values = (
+        bound_favorable(v_norm, d) if convex and v_norm < d else None,
+        bound_corollary(v_norm, d) if v_norm <= 2.0 * d / math.pi else None,
+        bound_generic(v_norm, d) if v_norm < C_CRIT_SEM * d else None,
+        bound_log(v_norm, d).value if v_norm < d else None,
+    )
+    return {k: v for k, v in zip(ANGLE_BOUND_NAMES, values, strict=True) if v is not None}
 
 
 def truncate_digits(x: float, digits: int) -> str:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import (
+    ANGLE_BOUND_NAMES,
     CONVEX_SEPARATED,
     DEFAULT_TOL,
     PerturbationInstance,
@@ -47,8 +48,7 @@ ROW_FIELDS = ("instance_id", "t", "theta", "bound_name", "bound_value", "margin"
 
 # Every bound_name a trial can emit, in the order _measure_trial adds them;
 # each is also a tolerance key of the config, besides "default".
-BOUND_NAMES = ("enclosure", "sin2theta", "favorable", "corollary", "generic", "log",
-               "continuity", "rank-one")
+BOUND_NAMES = ("enclosure", "sin2theta", *ANGLE_BOUND_NAMES, "continuity", "rank-one")
 
 
 class ConfigError(ValueError):
@@ -191,15 +191,9 @@ class BoundRow:
     passed: bool
 
     def to_mapping(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "t": self.t,
-            "theta": self.theta,
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
+        # __dict__ holds the fields in declaration order, which ROW_FIELDS
+        # names ("passed" as "pass")
+        return dict(zip(ROW_FIELDS, vars(self).values(), strict=True))
 
 
 @dataclass(frozen=True)
@@ -342,16 +336,7 @@ def rows_csv(reports: Iterable[TrialReport]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(ROW_FIELDS)
     for row in rows_of(reports):
-        mapping = row.to_mapping()
-        writer.writerow(
-            [
-                mapping["instance_id"],
-                repr(mapping["t"]),
-                repr(mapping["theta"]),
-                mapping["bound_name"],
-                repr(mapping["bound_value"]),
-                repr(mapping["margin"]),
-                "true" if mapping["pass"] else "false",
-            ]
-        )
+        # str of a float is its repr; the verdict is spelled as in JSON
+        *cells, passed = vars(row).values()
+        writer.writerow([*map(str, cells), "true" if passed else "false"])
     return buffer.getvalue()

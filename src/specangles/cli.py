@@ -16,7 +16,9 @@ import os
 import sys
 
 from .bounds import (
+    ANGLE_BOUND_NAMES,
     C_CRIT_SEM,
+    KAPPA_TOL,
     N_BREAK_2,
     KAPPA_SUP,
     N_eval,
@@ -109,7 +111,7 @@ def cmd_kappa(args) -> int:
     # is also the gap between the pieces
     residual = abs(_kappa_equation(kappa))
     inside = N_BREAK_2 < kappa < KAPPA_SUP
-    ok = residual <= 1e-12 and inside
+    ok = residual <= KAPPA_TOL and inside
     if args.format == "json":
         text = json.dumps(
             {
@@ -160,7 +162,7 @@ def cmd_scan(args) -> int:
         args.x_min + k * (args.x_max - args.x_min) / (args.steps - 1)
         for k in range(args.steps)
     ]
-    names = ("favorable", "corollary", "generic", "log")
+    names = ANGLE_BOUND_NAMES
     # an absent bound keeps its column, as None
     table = [(x, dict.fromkeys(names) | angle_bounds(x, 1.0, convex=True)) for x in xs]
     if args.format == "json":

@@ -17,8 +17,8 @@ import numpy as np
 from ._jacobi import hestenes_sweeps, jacobi_sweeps
 
 MAX_SWEEPS = 100
-# Convergence tolerance factor of both Jacobi kernels (see eigh and
-# singular_values_many).
+# Dimensionless tolerance factors, each multiplied by the scale of what its
+# check tests: see eigh, singular_values_many, membership_tol, require_psd.
 JACOBI_TOL = 1e-13
 MEMBERSHIP_TOL_FACTOR = 1e-8
 PSD_TOL = 1e-10
@@ -29,8 +29,15 @@ class ConvergenceError(RuntimeError):
 
 
 def membership_tol(scale: float) -> float:
-    """Default scale-aware membership tolerance, 1e-8 * (1 + scale)."""
-    return MEMBERSHIP_TOL_FACTOR * (1.0 + abs(scale))
+    """Membership tolerance 1e-8 * |scale|, relative to what is tested."""
+    return MEMBERSHIP_TOL_FACTOR * abs(scale)
+
+
+def require_psd(eigenvalues: np.ndarray) -> None:
+    """Raise ValueError unless lambda_min >= -1e-10 * ||V|| for the
+    eigenvalues of V, which allows the solver's backward error eps * ||V||."""
+    if eigenvalues.min() < -PSD_TOL * np.abs(eigenvalues).max():
+        raise ValueError("V must be positive semidefinite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,23 +124,22 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     """Full eigendecomposition by round-robin Jacobi, every sweep rotating
     every nonzero pivot.
 
-    Converged when the off-diagonal Frobenius norm drops below
-    1e-13 * (1 + ||M||_F), on M divided by a power of two (see `_scaled`);
-    hard cap of 100 sweeps. Ordering is ascending with ties left in stable
-    (original index) order, and each eigenvector's largest-magnitude
-    component is made positive, so identical input gives identical output.
+    Converged when the off-diagonal Frobenius norm is at most 1e-13 * ||M||_F,
+    tested on M divided by a power of two (see `_scaled`), so the rule is
+    relative at every scale; hard cap of 100 sweeps. Ordering is ascending
+    with ties left in stable (original index) order, and each eigenvector's
+    largest-magnitude component is made positive, so identical input gives
+    identical output.
     """
     return eigh_many([m])[0]
 
 
 def _scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix of the stack divided by 2^e, and the exponents e, where e
-    puts its largest |entry| in [1/2, 1) (e >= -1021, so 2^-e stays finite).
-    The division is exact in the normal range, so the kernels keep every bit
-    they give unscaled, while squares of entries near overflow or underflow
-    no longer overflow or flush to zero."""
+    puts its largest |entry| in [1/2, 1). The division is exact in the normal
+    range, so the kernels keep every bit they give unscaled, while squares of
+    entries near overflow or underflow no longer overflow or flush to zero."""
     _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))
-    e = np.maximum(e, -1021)
     return np.ldexp(stack, -e[:, None, None]), e
 
 
@@ -141,8 +147,8 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     """Eigendecompositions of several same-size matrices in one kernel call.
 
     Each matrix gets exactly the decomposition `eigh` gives it alone: its own
-    scale, tolerance and sweep cap, and the conventions of `decompositions`.
-    Raises ConvergenceError if any matrix misses its tolerance.
+    scale, tolerance 1e-13 * ||M||_F and sweep cap, and the conventions of
+    `decompositions`. Raises ConvergenceError if any matrix misses it.
     """
     if not ms:
         return []
@@ -152,17 +158,8 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     a, e = _scaled(np.array([m.entries for m in ms], dtype=float))
     vec = np.repeat(np.eye(n)[None], len(ms), axis=0)
     fro = np.sqrt(np.sum(a * a, axis=(1, 2)))
-    # 1e-13 * (1 + ||M||_F) in the units of the scaled matrix
-    tol = JACOBI_TOL * (np.ldexp(1.0, -e) + fro)
-    _, off = jacobi_sweeps(a, vec, tol, MAX_SWEEPS)
-    failed = np.flatnonzero(off > tol)
-    if failed.size:
-        k = int(failed[0])
-        raise ConvergenceError(
-            f"no convergence in {MAX_SWEEPS} sweeps: off-diagonal residual "
-            f"{np.ldexp(off[k], e[k]):.3e} above tolerance "
-            f"{np.ldexp(tol[k], e[k]):.3e}"
-        )
+    _, off = jacobi_sweeps(a, vec, JACOBI_TOL * fro, MAX_SWEEPS)
+    _require_converged(off, fro)
     return decompositions(np.ldexp(np.diagonal(a, axis1=1, axis2=2), e[:, None]), vec)
 
 
@@ -190,14 +187,20 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
     b, e = _scaled(b)
     _, off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
-    failed = np.flatnonzero(off > JACOBI_TOL)
-    if failed.size:
-        raise ConvergenceError(
-            f"no convergence in {MAX_SWEEPS} sweeps: row cosine "
-            f"{off[failed[0]]:.3e} above tolerance {JACOBI_TOL:.0e}"
-        )
+    _require_converged(off, np.ones_like(off))
     values = np.ldexp(np.sqrt(np.sum(b * b, axis=-1)), e[:, None])
     return list(np.sort(values, axis=1)[:, ::-1])
+
+
+def _require_converged(off: np.ndarray, scale: np.ndarray) -> None:
+    """The convergence check of both kernels: raise ConvergenceError, with
+    the worst scale-free residual off / scale, unless off <= 1e-13 * scale."""
+    failed = off > JACOBI_TOL * scale
+    if failed.any():
+        raise ConvergenceError(
+            f"no convergence in {MAX_SWEEPS} sweeps: residual "
+            f"{np.max(off[failed] / scale[failed]):.3e} above tolerance {JACOBI_TOL:.0e}"
+        )
 
 
 def decompositions(w: np.ndarray, vec: np.ndarray) -> list[SpectralDecomposition]:

@@ -9,11 +9,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    PSD_TOL,
     Projector,
     SymmetricMatrix,
     eigh,
     eigh_many,
+    require_psd,
     singular_values_many,
 )
 
@@ -178,12 +178,12 @@ def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:
 def psd_block_bounds(v: SymmetricMatrix, q: Projector) -> tuple[float, float, float]:
     """The chain 2||W|| <= ||V|| <= 2*max(||V0||, ||V1||), valid for PSD V.
 
-    Returns the triple (2||W||, ||V||, 2*max(||V0||, ||V1||)); V failing the
-    PSD test (tol 1e-10) raises, since indefinite V can break the left
-    inequality. No block basis is built: with K = 2Q - I, in any basis
-    adapted to Ran Q, V - KVK = 2*[[0, W], [W^T, 0]] and V + KVK =
-    2*diag(V0, V1), so the triple is (||V - KVK||, ||V||, ||V + KVK||), all
-    three from one stacked solve.
+    Returns the triple (2||W||, ||V||, 2*max(||V0||, ||V1||)); V failing
+    `require_psd` raises, since indefinite V can break the left inequality.
+    No block basis is built: with K = 2Q - I, in any basis adapted to Ran Q,
+    V - KVK = 2*[[0, W], [W^T, 0]] and V + KVK = 2*diag(V0, V1), so the
+    triple is (||V - KVK||, ||V||, ||V + KVK||), all three from one stacked
+    solve, whose stopping rule is relative, so the triple scales with V.
     """
     kvk = _reflected(v, q)
     if q.rank == 0 or q.rank == q.dim:
@@ -191,8 +191,7 @@ def psd_block_bounds(v: SymmetricMatrix, q: Projector) -> tuple[float, float, fl
     dec_v, dec_off, dec_diag = eigh_many(
         [v, SymmetricMatrix(v.entries - kvk), SymmetricMatrix(v.entries + kvk)]
     )
-    if float(dec_v.eigenvalues[0]) < -PSD_TOL:
-        raise ValueError("V must be positive semidefinite")
+    require_psd(dec_v.eigenvalues)
     return dec_off.norm, dec_v.norm, dec_diag.norm
 
 

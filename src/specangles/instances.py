@@ -39,7 +39,7 @@ DOUBLY_INTERLEAVED = "doubly-interleaved"
 class SpecPlan:
     """Where the base spectrum may live: interval clusters for the tracked
     component and its complement, eigenvalue counts per set, and the exact
-    gap d_target the sampler must realize."""
+    gap d_target the sampler must realize, within 1e-12 * d_target."""
 
     geometry: str
     sigma_locs: IntervalSet
@@ -58,7 +58,7 @@ class SpecPlan:
         if n_big < len(self.big_sigma_locs.intervals):
             raise ValueError("every Sigma cluster needs at least one eigenvalue")
         gap = set_distance(self.sigma_locs, self.big_sigma_locs)
-        if abs(gap - self.d_target) > 1e-12:
+        if not self.realizes(gap):
             raise ValueError(
                 f"cluster gap {gap!r} does not realize d_target {self.d_target!r}"
             )
@@ -66,6 +66,10 @@ class SpecPlan:
             self.geometry == CONVEX_SEPARATED
         ):
             raise ValueError("geometry label contradicts the hull conditions")
+
+    def realizes(self, gap: float) -> bool:
+        """Whether a cluster gap equals d_target, relative to its scale."""
+        return abs(gap - self.d_target) <= 1e-12 * self.d_target
 
     @property
     def n(self) -> int:
@@ -172,9 +176,9 @@ def _facing_endpoints(plan: SpecPlan) -> tuple[int, float, int, float]:
     # other across it; those two values get pinned so d == d_target exactly.
     for si, (alo, ahi) in enumerate(plan.sigma_locs.intervals):
         for bi, (blo, bhi) in enumerate(plan.big_sigma_locs.intervals):
-            if abs((blo - ahi) - plan.d_target) <= 1e-12:
+            if plan.realizes(blo - ahi):
                 return si, ahi, bi, blo
-            if abs((alo - bhi) - plan.d_target) <= 1e-12:
+            if plan.realizes(alo - bhi):
                 return si, alo, bi, bhi
     raise ValueError("no cluster pair realizes d_target")
 

@@ -12,6 +12,12 @@ import pytest
 from specangles import (
     campaign,
     core,
+    CONVEX_SEPARATED,
+    PerturbationInstance,
+    angle_bounds,
+    convex_plan,
+    random_instance,
+    rank_one_instance,
     angle_reports,
     eigh,
     omega_component,
@@ -317,6 +323,35 @@ class TestWalkPath:
         kernel_calls.clear()
         campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
         assert kernel_calls == [(2, 6, 6), (3, 3, 3)]
+
+
+def path_angle(inst) -> float:
+    _, (report,) = campaign.walk_path(inst, [(0.0, 1.0)])
+    return report.max_angle
+
+
+class TestScaleInvariance:
+    # the bounds depend on ||V||/d alone, and every tolerance scales with the
+    # quantity it tests, so scaling A and V together keeps angle and verdicts
+    def test_tiny_gap_plan_gives_the_unit_gap_angle(self):
+        tiny = random_instance(8, convex_plan(8, 1e-20), 0.65, 3)
+        unit = random_instance(8, convex_plan(8), 0.65, 3)
+        assert tiny.d == 1e-20
+        assert path_angle(tiny) == pytest.approx(path_angle(unit), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e-14, 1e-6, 1e8])
+    def test_scaled_instance_keeps_angle_and_hypotheses(self, s):
+        base = rank_one_instance(8, convex_plan(8), 0.65, 11)
+        unit, scaled = (
+            PerturbationInstance.build(base.a.scaled(f), base.v.scaled(f), base.sigma_indices)
+            for f in (1.0, s)
+        )
+        assert scaled.geometry == unit.geometry == CONVEX_SEPARATED
+        assert scaled.d / s == pytest.approx(unit.d, rel=1e-13, abs=0.0)
+        assert scaled.v_norm / s == pytest.approx(unit.v_norm, rel=1e-13, abs=0.0)
+        assert path_angle(scaled) == pytest.approx(path_angle(unit), rel=1e-13, abs=0.0)
+        hypotheses = [angle_bounds(i.v_norm, i.d, convex=True).keys() for i in (unit, scaled)]
+        assert hypotheses[0] == hypotheses[1]
 
 
 class TestSerialization:

@@ -169,7 +169,7 @@ class TestJacobiKernel:
             norms = np.linalg.norm(m, axis=1)
             cosines = np.abs(m @ m.T) / np.outer(norms, norms)
             oracle = cosines[~np.eye(6, dtype=bool)].max()
-            assert value == pytest.approx(oracle, rel=1e-9)
+            assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_zero_row_beside_orthogonal_rows_needs_no_sweep(self):
         b = np.zeros((1, 3, 4))
@@ -226,6 +226,13 @@ class TestEighMany:
         assert eigh_many([diagonal])[0].eigenvalues.tolist() == [1.0, 2.0]
         with pytest.raises(ConvergenceError):
             eigh_many([diagonal, random_symmetric(2, 3)])
+
+    def test_tiny_matrix_is_solved_to_its_own_scale(self):
+        # the stopping rule is relative: an off-diagonal norm far below 1e-13
+        # is still rotated away instead of read as converged
+        m = SymmetricMatrix([[0.0, 1e-20], [1e-20, 0.0]])
+        values = eigh(m).eigenvalues
+        assert values.tolist() == pytest.approx([-1e-20, 1e-20], rel=1e-13, abs=0.0)
 
 
 class TestSingularValuesMany:
@@ -300,7 +307,7 @@ class TestPowerOfTwoScaling:
         assert values.tolist() == pytest.approx(oracle.tolist(), rel=1e-13, abs=0.0)
 
     def test_subnormal_entries_without_warnings(self):
-        # the exponent is clamped at -1021, so eigh's scaled tolerance stays finite
+        # subnormal entries scale up to [1/2, 1) and back down exactly
         m = np.diag([5e-324, 1e-323])
         values = self.quietly(eigh, SymmetricMatrix(m)).eigenvalues
         assert values.tolist() == [5e-324, 1e-323]
@@ -328,9 +335,23 @@ class TestPowerOfTwoScaling:
         assert np.array_equal(two_k[1], two[1] * 2.0**k)
         assert np.array_equal(one_k[0], one[0]) and np.array_equal(one_k[1], one[1])
 
+    def test_both_kernels_report_one_scale_free_residual(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SWEEPS", 0)
+        m = random_symmetric(4, 77)
+        messages = set()
+        for factor in (1.0, 2.0**-80, 2.0**80):
+            with pytest.raises(ConvergenceError) as err:
+                eigh(m.scaled(factor))
+            messages.add(str(err.value))
+        (message,) = messages
+        assert message.startswith("no convergence in 0 sweeps: residual ")
+        assert message.endswith(" above tolerance 1e-13")
+        with pytest.raises(ConvergenceError, match=r"^no convergence in 0 sweeps: residual "):
+            singular_values_many([m.entries[:2]])
+
 
 class TestNormAndPsd:
-    # the spectral norm is eigh(m).norm and the PSD test reads eigenvalues[0]
+    # the spectral norm is eigh(m).norm; the PSD test is core.require_psd
     def test_operator_norm_diag(self):
         assert eigh(SymmetricMatrix.diagonal([-4.0, 3.0])).norm == 4.0
 
@@ -346,6 +367,15 @@ class TestNormAndPsd:
     def test_is_psd(self):
         assert eigh(random_psd(6, 11)).eigenvalues[0] >= -1e-10
         assert eigh(SymmetricMatrix.diagonal([1.0, -0.5])).eigenvalues[0] < -1e-10
+
+    @pytest.mark.parametrize("factor", [1e-30, 1.0, 1e30])
+    def test_psd_test_and_membership_scale_with_the_matrix(self, factor):
+        core.require_psd(factor * np.array([-1e-11, 0.0, 1.0]))
+        core.require_psd(np.zeros(3))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            core.require_psd(factor * np.array([-1e-9, 0.0, 1.0]))
+        assert core.membership_tol(-factor) == core.membership_tol(factor) == 1e-8 * factor
+        assert core.membership_tol(0.0) == 0.0
 
 
 class TestIntervalSet:

@@ -122,7 +122,7 @@ class TestAngleReportsFromBases:
         p, q = tiny_angle_pair(0)
         report = angle_reports([(p, q)])[0]
         assert report.sines[:2] == pytest.approx([math.sin(1.2)] * 2, abs=1e-14)
-        assert report.sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6)
+        assert report.sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6, abs=0.0)
         assert report.sines[4:].tolist() == [0.0, 0.0]
         # the shortcuts the one-sided kernel avoids lose the small angle: the
         # cosines round to 1 and S^T S squares it below rounding noise
@@ -138,7 +138,7 @@ class TestAngleReportsFromBases:
             Projector(SymmetricMatrix(u @ u.T), rank=2) for u in (p[0], q[0])
         )
         sines = angle_report(p_proj, q_proj).sines
-        assert sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6)
+        assert sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6, abs=0.0)
 
     def test_same_span_different_bases_has_zero_product(self):
         # the bases differ, but S = U_perp_s^T U_t is exactly zero
@@ -272,6 +272,27 @@ class TestPsdBlockBounds:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             psd_block_bounds(random_psd(4, 63), haar_projector(5, 2, 64))
+
+    @pytest.mark.parametrize("s", [1e-14, 1e8])
+    def test_triple_scales_with_v(self, s):
+        # the PSD test is relative to ||V||, and so is the solve
+        u = PortableRng(0).unit_vector(5)
+        q = haar_projector(5, 2, 66)
+        unit = psd_block_bounds(SymmetricMatrix(np.outer(u, u)), q)
+        scaled = psd_block_bounds(SymmetricMatrix(s * np.outer(u, u)), q)
+        assert list(scaled) == pytest.approx([s * x for x in unit], rel=1e-13, abs=0.0)
+
+    def test_rejects_tiny_indefinite(self):
+        v = SymmetricMatrix(1e-12 * np.diag([1.0, -1.0, 0.5]))
+        q = Projector(SymmetricMatrix.diagonal([1.0, 0.0, 0.0]), rank=1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            psd_block_bounds(v, q)
+
+    def test_tiny_v_gets_its_exact_triple(self):
+        v = SymmetricMatrix(1e-20 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        q = Projector(SymmetricMatrix.diagonal([1.0, 0.0]), rank=1)
+        triple = psd_block_bounds(v, q)
+        assert list(triple) == pytest.approx([2e-20, 3e-20, 4e-20], rel=1e-13, abs=0.0)
 
     def test_rejects_rank_extremes(self):
         v = random_psd(4, 65)

@@ -1,6 +1,8 @@
 """Instance construction: plans, exact families, and seeded ensembles."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,17 @@ from specangles import (
     sharpness_pair,
     spectral_projector,
 )
+from specangles import campaign
+from specangles.campaign import CampaignConfig, run_campaign
 from specangles.instances import DOUBLY_INTERLEAVED, SpecPlan
+
+CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "verify500.json"
+
+# sha256 of the bytes of A then V of the first 15 verify500 trials, which
+# cover every plan of that config. haar_orthogonal calls LAPACK's QR and the
+# Gram spectrum scales V, so the bytes hold for this BLAS/LAPACK build only.
+PINNED_BUILD = ("scipy-openblas", "0.3.31.188.0")
+FIRST_TRIALS_SHA256 = "e6d063ead95391b5116df28e41ac53771530e89e07ed794ec760af282546875f"
 
 GENERATORS = {
     "convex": lambda n, seed: random_instance(n, convex_plan(n), 0.65, seed),
@@ -79,6 +91,19 @@ class TestSpecPlan:
                 counts=(1, 1),
                 d_target=1.0,
             )
+
+    def test_gap_is_matched_relative_to_the_target(self):
+        # clusters 5e-13 apart lie within 1e-12 of d_target = 1e-20, but do
+        # not realize it
+        with pytest.raises(ValueError, match="does not realize"):
+            SpecPlan(
+                geometry="convex-separated",
+                sigma_locs=IntervalSet(((-1e-20, 0.0),)),
+                big_sigma_locs=IntervalSet(((5e-13, 1e-12),)),
+                counts=(4, 4),
+                d_target=1e-20,
+            )
+        assert convex_plan(8, 1e-20).d_target == 1e-20
 
     def test_unknown_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -290,3 +315,44 @@ class TestAssemble:
             PerturbationInstance.assemble(
                 inst.a, inst.v, inst.sigma_indices, inst.dec_a, 1.01 * v_w
             )
+
+    def test_checks_scale_with_the_instance(self):
+        # at d = 1e-20 an absolute tolerance would accept any decomposition
+        inst = random_instance(8, convex_plan(8, 1e-20), 0.5, seed=4)
+        q = inst.dec_a.eigenvectors[:, [7, 1, 2, 3, 4, 5, 6, 0]]
+        swapped = SpectralDecomposition(inst.dec_a.eigenvalues, q)
+        v_w = eigh(inst.v).eigenvalues
+        PerturbationInstance.assemble(inst.a, inst.v, inst.sigma_indices, inst.dec_a, v_w)
+        with pytest.raises(ValueError, match="dec_a"):
+            PerturbationInstance.assemble(inst.a, inst.v, inst.sigma_indices, swapped, v_w)
+        with pytest.raises(ValueError, match="v_eigenvalues"):
+            PerturbationInstance.assemble(
+                inst.a, inst.v, inst.sigma_indices, inst.dec_a, 1.01 * v_w
+            )
+
+
+class TestPinnedInstances:
+    def test_first_verify500_instances_keep_their_bytes(self, monkeypatch):
+        try:
+            deps = np.show_config(mode="dicts")["Build Dependencies"]
+        except TypeError:  # numpy before 1.26 prints its config only
+            pytest.skip("this numpy does not report its BLAS/LAPACK build")
+        libs = [deps.get(lib, {}) for lib in ("blas", "lapack")]
+        found = {(lib.get("name"), lib.get("version")) for lib in libs}
+        if found != {PINNED_BUILD}:
+            pytest.skip(f"digest pinned under BLAS/LAPACK {PINNED_BUILD}, not {found}")
+        built = []
+        original = campaign._build_instance
+
+        def build(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(campaign, "_build_instance", build)
+        list(run_campaign(CampaignConfig.from_json_file(str(CONFIG_PATH), trials=15)))
+        assert len(built) == 15
+        digest = hashlib.sha256()
+        for inst in built:
+            digest.update(inst.a.entries.tobytes())
+            digest.update(inst.v.entries.tobytes())
+        assert digest.hexdigest() == FIRST_TRIALS_SHA256
