@@ -26,6 +26,7 @@ from .core import (
     Projector,
     SpectralDecomposition,
     SymmetricMatrix,
+    decompositions,
     eigh,
     eigh_many,
     membership_tol,
@@ -169,9 +170,42 @@ class PerturbationInstance:
     def perturbed(self, t: float) -> SymmetricMatrix:
         return self.a + self.v.scaled(t)
 
+    @cached_property
+    def _eigenbasis_pair(self) -> tuple[SymmetricMatrix, SymmetricMatrix]:
+        # Q^T A Q is formed, not taken as diag(lambda): assemble accepts a
+        # dec_a with a residual up to membership_tol(||A||_F), and only the
+        # formed product keeps the lifted pairs those of the stored A + tV.
+        q = self.dec_a.eigenvectors
+        return SymmetricMatrix(q.T @ self.a.entries @ q), SymmetricMatrix(q.T @ self.v.entries @ q)
+
+    def in_eigenbasis(self, t: float) -> SymmetricMatrix:
+        """M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors: A + tV in
+        A's eigenbasis. Its off-diagonal part is about t times that of
+        Q^T V Q, so Jacobi starts near the diagonal, where cyclic Jacobi
+        converges quadratically (Henrici 1958). The two products are formed
+        once per instance; solve M_t and map back with `lifted`."""
+        qaq, qvq = self._eigenbasis_pair
+        return qaq + qvq.scaled(t)
+
+    def lifted(self, decs: list[SpectralDecomposition]) -> list[SpectralDecomposition]:
+        """Decompositions of the M_t in `decs` mapped back to A + tV: the
+        eigenvectors Q*X, one product per matrix, put in eigh's conventions
+        by core.decompositions. The eigenvalues are M_t's."""
+        if not decs:
+            return []
+        q = self.dec_a.eigenvectors
+        return decompositions(
+            np.array([dec.eigenvalues for dec in decs]),
+            np.array([q @ dec.eigenvectors for dec in decs]),
+        )
+
     def spectrum(self, t: float) -> SpectralDecomposition:
-        """Eigendecomposition of A + tV; at t = 0 the instance's own dec_a."""
-        return self.dec_a if t == 0.0 else eigh(self.perturbed(t))
+        """Eigendecomposition of A + tV, solved warm as `in_eigenbasis(t)` and
+        `lifted` back; at t = 0 the instance's own dec_a. Gives the bits that
+        campaign.walk_path gives t, not those of a cold eigh(perturbed(t))."""
+        if t == 0.0:
+            return self.dec_a
+        return self.lifted([eigh(self.in_eigenbasis(t))])[0]
 
 
 @dataclass(frozen=True, eq=False)

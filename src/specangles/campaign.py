@@ -233,13 +233,16 @@ def walk_path(
     """Walk the path A + tV over the times of `pairs`: the decomposition at
     each distinct t, and the angle report of each pair (s, t) in order.
 
-    t = 0 is build()'s solve of A; every other distinct t is solved in one
-    stacked kernel call. Each t's bases come from `omega_component`, and all
-    pairs share one `angle_reports` call. This is the one place that solves
-    the path, for the campaign, `chain_demo` and the sharpness sweep alike.
+    t = 0 is the instance's dec_a. Every other distinct t is solved warm, as
+    `inst.in_eigenbasis(t)` in one stacked kernel call, and `inst.lifted`
+    back to A + tV, so each decomposition has the bits of `inst.spectrum(t)`.
+    Each t's bases come from `omega_component`, and all pairs share one
+    `angle_reports` call. This is the one place that solves the path, for
+    the campaign, `chain_demo` and the sharpness sweep alike.
     """
     times = list(dict.fromkeys(t for pair in pairs for t in pair))
-    solved = iter(eigh_many([inst.perturbed(t) for t in times if t != 0.0]))
+    later = [inst.in_eigenbasis(t) for t in times if t != 0.0]
+    solved = iter(inst.lifted(eigh_many(later)))
     decs = {t: inst.dec_a if t == 0.0 else next(solved) for t in times}
     bases = {t: omega_component(inst, t, dec=dec).bases for t, dec in decs.items()}
     return decs, angle_reports([(bases[s], bases[t]) for s, t in pairs])

@@ -287,8 +287,9 @@ class TestWalkPath:
         # classification against the two enlarged sets must agree with it,
         # also on the doubly-interleaved plan's exact eigenvalue clusters
         inst = campaign._build_instance(plan, n, 0.95, 400 + n)
-        later = core.eigh_many([inst.perturbed(t) for t in campaign.T_GRID[1:]])
-        for t, dec in zip(campaign.T_GRID, [inst.dec_a, *later]):
+        decs, _ = campaign.walk_path(inst, list(zip(campaign.T_GRID, campaign.T_GRID[1:])))
+        assert list(decs) == list(campaign.T_GRID)
+        for t, dec in decs.items():
             comp = omega_component(inst, t, dec=dec)
             assert comp.omega_indices == inst.sigma_indices
             shift = t * inst.v_norm
@@ -304,13 +305,15 @@ class TestWalkPath:
 
     @pytest.mark.parametrize("plan", campaign.PLAN_NAMES)
     def test_same_bits_as_one_point_at_a_time(self, plan):
+        # the stacked warm solve gives each t the bits of the one-point
+        # inst.spectrum(t), which solves the same M_t alone
         inst = campaign._build_instance(plan, 8, 0.65, 77)
         pairs = [(0.0, 0.5), (0.5, 1.0), (0.25, 0.25), (0.0, 1.0)]
         decs, reports = campaign.walk_path(inst, pairs)
         assert list(decs) == [0.0, 0.5, 1.0, 0.25]
         assert decs[0.0] is inst.dec_a
         for t, dec in list(decs.items())[1:]:
-            alone = eigh(inst.perturbed(t))
+            alone = inst.spectrum(t)
             assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
             assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
         for (s, t), report in zip(pairs, reports, strict=True):
@@ -323,6 +326,87 @@ class TestWalkPath:
         kernel_calls.clear()
         campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
         assert kernel_calls == [(2, 6, 6), (3, 3, 3)]
+
+
+GENERATED_PLANS = ("convex-separated", "doubly-interleaved", "rank-one")
+
+
+def residual_and_defect(m: np.ndarray, dec) -> tuple[float, float]:
+    """||M U - U Lambda||_F / ||M||_F and max |U^T U - I| of one decomposition."""
+    u = dec.eigenvectors
+    residual = np.linalg.norm(m @ u - u * dec.eigenvalues) / np.linalg.norm(m)
+    return residual, np.max(np.abs(u.T @ u - np.eye(u.shape[0])))
+
+
+class TestWarmPath:
+    # the path is solved as M_t = Q^T A Q + t Q^T V Q and lifted back by Q;
+    # these check that the lifted pairs belong to the stored A + tV
+    @pytest.mark.parametrize("ratio", [0.05, 0.65, 0.95])
+    @pytest.mark.parametrize("n", [8, 48])
+    @pytest.mark.parametrize("plan", GENERATED_PLANS)
+    def test_lifted_pairs_solve_the_stored_matrix(self, plan, n, ratio):
+        inst = campaign._build_instance(plan, n, ratio, 500 + n)
+        times = campaign.T_GRID[1:]
+        cold = core.eigh_many([inst.perturbed(t) for t in times])
+        for t, reference in zip(times, cold):
+            m = inst.perturbed(t).entries
+            dec = inst.spectrum(t)
+            residual, defect = residual_and_defect(m, dec)
+            assert residual <= 1e-12
+            assert defect <= 1e-13
+            gap = np.max(np.abs(dec.eigenvalues - reference.eigenvalues))
+            assert gap <= 1e-13 * np.linalg.norm(m)
+
+    def test_formed_product_absorbs_an_inexact_basis(self):
+        # assemble accepts a dec_a rotated by 1e-10 in one plane (its residual
+        # is far inside 1e-8 * ||A||_F); forming Q^T A Q keeps the lifted pairs
+        # exact for the stored A + tV, where diag(lambda) + t Q^T V Q misses
+        # them by the rotation
+        base = rank_one_instance(8, convex_plan(8), 0.65, 5)
+        q = base.dec_a.eigenvectors.copy()
+        c, s = math.cos(1e-10), math.sin(1e-10)
+        q[:, [0, 7]] = q[:, [0, 7]] @ np.array([[c, s], [-s, c]])
+        dec_a = core.decompositions(base.dec_a.eigenvalues[None], q[None])[0]
+        inst = PerturbationInstance.assemble(
+            base.a, base.v, base.sigma_indices, dec_a, eigh(base.v).eigenvalues
+        )
+        w = core.SymmetricMatrix(q.T @ inst.v.entries @ q)
+        for t in campaign.T_GRID[1:]:
+            m = inst.perturbed(t).entries
+            assert residual_and_defect(m, inst.spectrum(t))[0] <= 1e-12
+            diag = core.SymmetricMatrix.diagonal(dec_a.eigenvalues) + w.scaled(t)
+            assert residual_and_defect(m, inst.lifted([eigh(diag)])[0])[0] > 1e-12
+
+    def test_warm_start_saves_sweeps(self, monkeypatch):
+        # sweeps are a pure function of the input matrix. Seeds 9 and 10 hold
+        # the slowest n = 48 path matrices of seeds 0-39 on these plans and
+        # ratios: 7 sweeps, where 99% take at most 6. No cold solve takes
+        # fewer than 7.
+        recorded = []
+        original = core.jacobi_sweeps
+
+        def record(a, *args):
+            sweeps, off = original(a, *args)
+            recorded.append(sweeps.copy())
+            return sweeps, off
+
+        monkeypatch.setattr(core, "jacobi_sweeps", record)
+        warm, cold = [], []
+        times = campaign.T_GRID[1:]
+        for plan in GENERATED_PLANS:
+            for ratio in (0.25, 0.65, 0.95):
+                for seed in (9, 10):
+                    inst = campaign._build_instance(plan, 48, ratio, seed)
+                    campaign.walk_path(inst, [(0.0, t) for t in times])
+                    core.eigh_many([inst.perturbed(t) for t in times])
+                    cold.append(recorded.pop())
+                    warm.append(recorded.pop())
+        warm, cold = np.concatenate(warm), np.concatenate(cold)
+        assert warm.size == 72
+        assert warm.max() <= 7
+        assert np.all(warm < cold)
+        assert warm.mean() <= 6.0
+        assert cold.mean() - warm.mean() >= 2.0
 
 
 def path_angle(inst) -> float:
