@@ -334,12 +334,19 @@ def rows_jsonl(reports: Iterable[TrialReport]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def rows_csv(reports: Iterable[TrialReport]) -> str:
+def csv_text(table: Iterable[Sequence]) -> str:
+    """The CSV of `table`, one line per row. csv writes a float as its repr
+    and None as a blank cell; a verdict is spelled as in JSON."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(ROW_FIELDS)
-    for row in rows_of(reports):
-        # str of a float is its repr; the verdict is spelled as in JSON
-        *cells, passed = vars(row).values()
-        writer.writerow([*map(str, cells), "true" if passed else "false"])
+    for row in table:
+        writer.writerow(["true" if c is True else "false" if c is False else c for c in row])
     return buffer.getvalue()
+
+
+def rows_table(reports: Iterable[TrialReport]) -> list[Sequence]:
+    return [ROW_FIELDS, *(vars(row).values() for row in rows_of(reports))]
+
+
+def rows_csv(reports: Iterable[TrialReport]) -> str:
+    return csv_text(rows_table(reports))

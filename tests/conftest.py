@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from specangles import PortableRng, SymmetricMatrix, core
@@ -32,3 +33,22 @@ def kernel_calls(monkeypatch):
     count("jacobi_sweeps")
     count("hestenes_sweeps")
     return calls
+
+
+# The BLAS/LAPACK build that pinned digests were taken under: haar_orthogonal
+# calls LAPACK's QR and matrix products go through BLAS, so pinned bytes hold
+# for this build only.
+PINNED_BUILD = ("scipy-openblas", "0.3.31.188.0")
+
+
+@pytest.fixture
+def pinned_build():
+    """Skip, with the reason, under any BLAS/LAPACK build but PINNED_BUILD."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:  # numpy before 1.26 prints its config only
+        pytest.skip("this numpy does not report its BLAS/LAPACK build")
+    libs = [deps.get(lib, {}) for lib in ("blas", "lapack")]
+    found = {(lib.get("name"), lib.get("version")) for lib in libs}
+    if found != {PINNED_BUILD}:
+        pytest.skip(f"digest pinned under BLAS/LAPACK {PINNED_BUILD}, not {found}")

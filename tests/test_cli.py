@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, formats, tolerances, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import specangles
-from specangles import angle_bounds
+from specangles import angle_bounds, cli
 from specangles.cli import main
 
 
@@ -241,6 +242,36 @@ class TestVerify:
             "instance_id,t,theta,bound_name,bound_value,margin,pass"
         )
 
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("json", ""),
+            ("csv", "instance_id,t,theta,bound_name,bound_value,margin,pass\n"),
+            ("pretty", "0 trials, 0 failures\n"),
+        ],
+    )
+    def test_zero_trials(self, capsys, tmp_path, fmt, expected):
+        # an empty JSON Lines report has no lines, not one blank line that a
+        # line-by-line reader would fail to parse
+        argv = ["verify", write_config(tmp_path, BASE_CONFIG), "--trials", "0", "--format", fmt]
+        assert run(capsys, *argv) == (0, expected, "")
+        path = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "fmt, unused",
+        [("json", ["rows_table"]), ("csv", ["rows_jsonl"]), ("pretty", ["rows_jsonl", "rows_table"])],
+    )
+    def test_renders_only_the_format_asked_for(self, capsys, tmp_path, monkeypatch, fmt, unused):
+        def refuse(reports):
+            raise AssertionError("rendered a format nobody asked for")
+
+        for name in unused:
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, _ = run(capsys, "verify", write_config(tmp_path, BASE_CONFIG), "--format", fmt)
+        assert code == 0 and out
+
     def test_trials_flag_truncates_explicit_seeds(self, capsys, tmp_path):
         payload = dict(BASE_CONFIG)
         del payload["seed_base"]
@@ -380,6 +411,58 @@ class TestVerify:
         code, _, err = run(capsys, "verify", write_config(tmp_path, payload))
         assert code == 2
         assert "mode" in err
+
+
+# sha256 of stdout and the exit code of each subcommand in each format, with
+# a failing check among them. sharpness and verify solve through BLAS and
+# verify's instances through LAPACK, so the digests hold for conftest's
+# PINNED_BUILD only.
+PINNED_ARGS = {
+    "constants": [],
+    "kappa": [],
+    "scan": ["--steps", "11"],
+    "sharpness": [],
+    "optimize": ["0.7"],
+    "optimize-failing": ["0.84", "--n-max", "2"],
+    "verify": [],
+}
+PINNED_OUTPUTS = {
+    ("constants", "json"): (0, "6f43287b4539dd4f5a5af037677bbbb3e13ffa8d93211f412146243326aeb2b7"),
+    ("constants", "csv"): (0, "39b6acae27cc363d60bed2aa825c86a20a0a437bc69bd830df62f1cbcf6e6c75"),
+    ("constants", "pretty"): (0, "3daa7b4a7652f46ad0ec139fb6e39a40d63b4f88f9c4a966e8cc28f471abb91d"),
+    ("kappa", "json"): (0, "19194b774b0746b5eb40d60b4143d8c43681f30d5a495b069ef7454b5c31811d"),
+    ("kappa", "csv"): (0, "f460ad491f3f309c7618e28cf2c8cdcb2371ee4c230669e22d45ec8bdd5fdf2b"),
+    ("kappa", "pretty"): (0, "d76e327c36e731f6dddddd4b2f47ccf395db1b71890e9f568650b14b3b24b723"),
+    ("scan", "json"): (0, "cfaf6979cbdc91334613d314f0823ed38851ad34ac84ae7616090ce7b4a71541"),
+    ("scan", "csv"): (0, "b53ebafd3cfb7f14ac688b04fc0dfa510cba9753e856e3fd931e32e9abe1d4e2"),
+    ("scan", "pretty"): (0, "2cf24bdc2d51781f0590ea9820683a817cdc87c5e6247997ddd07f99927fe958"),
+    ("sharpness", "json"): (0, "3cd3a1c1361ac534aad1a50d2671014f3c81b2b76cd4d3747adc6beb00bc1390"),
+    ("sharpness", "csv"): (0, "d88e73601052411af92f36c1429b614bea0206261dbd71935176b37fe5857055"),
+    ("sharpness", "pretty"): (0, "b78f6b185ef376d751481f9d4a380425f1551ec3269158b5a95b946df2e296ad"),
+    ("optimize", "json"): (0, "332d4f77515064784059eff6d9650c5b6bd818af446b72d7ce024ac2bc8ec037"),
+    ("optimize", "csv"): (0, "a18aa73ffa0508fe4d2e3cb02ca37d7f1e8e1d479e1d232fe353c32719182925"),
+    ("optimize", "pretty"): (0, "35a16505ab37896791e98de3371bc7fc94a7a9c15fdb42e9724f33d1dad50393"),
+    ("optimize-failing", "json"): (1, "f7a8c16d78ee60864985891c36af024682524d035713c8f4376c0758df9b920a"),
+    ("optimize-failing", "csv"): (1, "1ff5e9c5d2de27c048781797d24e8ff0271eaa068b44a24f01163e827f515551"),
+    ("optimize-failing", "pretty"): (1, "69f92fb9f1351fda20a6000602b7086974934c4756d7305c1a18bcca77cca55a"),
+    ("verify", "json"): (0, "e5a7843b0e1c412bd976b20d8bd3667283a7500868235b98f6fbfac3069c09e7"),
+    ("verify", "csv"): (0, "c5ddb8b641e33a7f2a87d0f1b9a29ea0437997e124a0958015cfd26682e3120f"),
+    ("verify", "pretty"): (0, "33a6a67353980b8c15ce5579190aa631ff2deb604d8f916b2ac6e9b9d4762b71"),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+    def test_stdout_and_out_file_keep_their_bytes(self, capsys, tmp_path, pinned_build, case):
+        command, fmt = case
+        argv = [command.removesuffix("-failing"), *PINNED_ARGS[command], "--format", fmt]
+        if command == "verify":
+            argv.insert(1, write_config(tmp_path, BASE_CONFIG))
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_OUTPUTS[case]
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_bytes() == out.encode()
 
 
 class TestParser:

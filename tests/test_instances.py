@@ -32,8 +32,7 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "verify500.js
 
 # sha256 of the bytes of A then V of the first 15 verify500 trials, which
 # cover every plan of that config. haar_orthogonal calls LAPACK's QR and the
-# Gram spectrum scales V, so the bytes hold for this BLAS/LAPACK build only.
-PINNED_BUILD = ("scipy-openblas", "0.3.31.188.0")
+# Gram spectrum scales V, so the bytes hold for conftest's PINNED_BUILD only.
 FIRST_TRIALS_SHA256 = "e6d063ead95391b5116df28e41ac53771530e89e07ed794ec760af282546875f"
 
 GENERATORS = {
@@ -332,15 +331,7 @@ class TestAssemble:
 
 
 class TestPinnedInstances:
-    def test_first_verify500_instances_keep_their_bytes(self, monkeypatch):
-        try:
-            deps = np.show_config(mode="dicts")["Build Dependencies"]
-        except TypeError:  # numpy before 1.26 prints its config only
-            pytest.skip("this numpy does not report its BLAS/LAPACK build")
-        libs = [deps.get(lib, {}) for lib in ("blas", "lapack")]
-        found = {(lib.get("name"), lib.get("version")) for lib in libs}
-        if found != {PINNED_BUILD}:
-            pytest.skip(f"digest pinned under BLAS/LAPACK {PINNED_BUILD}, not {found}")
+    def test_first_verify500_instances_keep_their_bytes(self, monkeypatch, pinned_build):
         built = []
         original = campaign._build_instance
 
