@@ -20,6 +20,9 @@ from the Gram matrix of the current rows and applies J^T B, which keeps
 small singular values to high relative accuracy (Demmel & Veselic 1992).
 Its off is the largest row cosine |b_p . b_q| / (|b_p| |b_q|), a zero row
 counting as orthogonal; at convergence the row norms are the singular values.
+`core.singular_values_many` hands it the square R factors of two
+norm-pivoted QR factorizations (Drmac & Veselic 2008), whose rows start
+closer to orthogonal than those of the matrix they come from.
 
 Everything is plain numpy on fixed orderings, so each result is a pure
 function of its input matrix: a matrix gives the same bits whether it is

@@ -167,15 +167,17 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Singular values, descending, of several same-shape matrices in one call
     of the one-sided Jacobi kernel.
 
-    Each matrix is divided by a power of two (see `_scaled`) and oriented
-    with its shorter side as rows, whose pairs are rotated until
-    |b_p . b_q| <= 1e-13 * |b_p| * |b_q| for every pair; the row norms, scaled
-    back, are the singular values, small ones to high relative accuracy
-    (Demmel & Veselic 1992) from subnormal to near overflow. The Gram matrix
-    of the current rows only picks each round's rotations: no value is read
-    from the eigenvalues of M^T M. A matrix gets the same values alone or in
-    a stack. Hard cap of 100 sweeps; raises ConvergenceError if any matrix
-    misses the tolerance there.
+    Each matrix is oriented with its shorter side as rows, divided by a power
+    of two (see `_scaled`) and preconditioned by two QR factorizations (see
+    `_preconditioned`), which leave a square R with the same singular values.
+    The rows of R are rotated until |r_p . r_q| <= 1e-13 * |r_p| * |r_q| for
+    every pair; the row norms, scaled back, are the singular values, small
+    ones to high relative accuracy (Demmel & Veselic 1992; Drmac & Veselic
+    2008 for the QR preconditioning) from subnormal to near overflow. The
+    Gram matrix of the current rows only picks each round's rotations: no
+    value is read from the eigenvalues of M^T M. A matrix gets the same values
+    alone or in a stack. Hard cap of 100 sweeps; raises ConvergenceError if
+    any matrix misses the tolerance there.
     """
     if not len(ms):
         return []
@@ -186,10 +188,27 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     if shape[0] > shape[1]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
     b, e = _scaled(b)
+    b = _preconditioned(b)
     _, off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
     _require_converged(off, np.ones_like(off))
     values = np.ldexp(np.sqrt(np.sum(b * b, axis=-1)), e[:, None])
     return list(np.sort(values, axis=1)[:, ::-1])
+
+
+def _preconditioned(b: np.ndarray) -> np.ndarray:
+    """The r x r factor R2 of each matrix B (r x m, r <= m) of the stack, from
+    two QR factorizations with a static pivot (Drmac & Veselic 2008): the
+    rows of B, sorted by decreasing norm, give B^T P1 = Q1 R1, and the rows
+    of R1, sorted the same way, give R1^T P2 = Q2 R2. R2 has B's singular
+    values, and its rows are closer to orthogonal than B's, with norms
+    nearer the singular values, so one-sided Jacobi on them takes fewer
+    sweeps. Both sorts are stable, so
+    ties keep their index order and each R2 depends on its own B only."""
+    for _ in range(2):
+        order = np.argsort(-np.sum(b * b, axis=-1), axis=1, kind="stable")
+        pivoted = np.take_along_axis(b, order[:, :, None], axis=1)
+        b = np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r")
+    return b
 
 
 def _require_converged(off: np.ndarray, scale: np.ndarray) -> None:

@@ -27,8 +27,8 @@ from .core import (
     SpectralDecomposition,
     SymmetricMatrix,
     decompositions,
-    eigh,
     set_distance,
+    singular_values_many,
 )
 from .rng import PortableRng
 
@@ -220,9 +220,10 @@ def random_instance(
     n: int, plan: SpecPlan, v_ratio: float, seed: int
 ) -> PerturbationInstance:
     """Seeded instance: spectrum sampled inside the plan's clusters behind a
-    Haar-random basis, perturbed by a PSD Gram matrix rescaled to
-    ||V|| = v_ratio * d_target. The Gram solve is the only kernel call: A's
-    spectrum and basis are the sampled ones, V's the scaled Gram spectrum."""
+    Haar-random basis, perturbed by a PSD Gram matrix G G^T rescaled to
+    ||V|| = v_ratio * d_target. The one kernel call is the one-sided SVD of G,
+    since spec(G G^T) = sigma(G)^2: A's spectrum and basis are the sampled
+    ones, V's the scaled squares of G's singular values."""
     if not 0.0 <= v_ratio < 1.0:
         raise ValueError("v_ratio must lie in [0, 1)")
     rng = PortableRng(seed)
@@ -232,11 +233,10 @@ def random_instance(
         v_eigenvalues = np.zeros(n)
     else:
         g = rng.gaussians(n * n).reshape(n, n)
-        gram = SymmetricMatrix(g @ g.T)
-        dec_gram = eigh(gram)
-        factor = v_ratio * plan.d_target / dec_gram.norm
-        v = gram.scaled(factor)
-        v_eigenvalues = dec_gram.eigenvalues * factor
+        gram_eigenvalues = singular_values_many([g])[0][::-1] ** 2
+        factor = v_ratio * plan.d_target / gram_eigenvalues[-1]
+        v = SymmetricMatrix(g @ g.T).scaled(factor)
+        v_eigenvalues = gram_eigenvalues * factor
     label = f"{plan.geometry}-n{n}-v{v_ratio:g}-s{seed}"
     return PerturbationInstance.assemble(a, v, sigma_indices, dec_a, v_eigenvalues, label)
 

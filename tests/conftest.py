@@ -16,22 +16,23 @@ def random_psd(n: int, seed: int) -> SymmetricMatrix:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Shape of the stack passed to each call of either Jacobi kernel, in
-    order: (k, n, n) for the two-sided eigensolver, (k, r, m) with r <= m
-    for the one-sided SVD."""
+    """Each call of either Jacobi kernel, in order, as (kernel, stack shape):
+    ("two-sided", (k, n, n)) for the eigensolver and ("one-sided", (k, r, r))
+    for the SVD, whose stack holds the square factors its QR preconditioning
+    leaves of the (k, r, m) input, r <= m."""
     calls = []
 
-    def count(name):
+    def count(name, kernel):
         original = getattr(core, name)
 
         def counted(a, *args):
-            calls.append(a.shape)
+            calls.append((kernel, a.shape))
             return original(a, *args)
 
         monkeypatch.setattr(core, name, counted)
 
-    count("jacobi_sweeps")
-    count("hestenes_sweeps")
+    count("jacobi_sweeps", "two-sided")
+    count("hestenes_sweeps", "one-sided")
     return calls
 
 

@@ -403,7 +403,7 @@ class TestSpectrumAtZero:
         assert inst.spectrum(0.0) is inst.dec_a
         assert report.tol == 1e-8
         omega_component(inst, 0.5)
-        assert kernel_calls == [(1, 2, 2)]
+        assert kernel_calls == [("two-sided", (1, 2, 2))]
 
 
 class TestEnclosure:

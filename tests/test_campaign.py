@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import specangles._jacobi as _jacobi
 from specangles import (
     campaign,
     core,
@@ -257,16 +258,18 @@ class TestRunCampaign:
         assert rows_jsonl(slow) == rows_jsonl(reports)
 
     def test_kernel_calls_per_trial(self, kernel_calls):
-        # Gram-based plans: the Gram matrix, the path, and the ten 2 x 2
-        # basis products of the angles in one one-sided call; the generators
-        # pass A's spectrum and basis, so A and V are not solved, and
-        # rank-one builds V without a Gram matrix
+        # Gram-based plans: the Gram factor G in a one-sided call, the path in
+        # the one two-sided call, and the ten 2 x 2 basis products of the
+        # angles in one one-sided call; the generators pass A's spectrum and
+        # basis, so A and V are not solved, and rank-one builds V without a
+        # Gram matrix
         cfg = small_config(plans=["convex-separated", "doubly-interleaved", "rank-one"], trials=6)
         calls = []
         for _ in run_campaign(cfg):
             calls.append(list(kernel_calls))
             kernel_calls.clear()
-        gram, path, angles = (1, 4, 4), (4, 4, 4), (10, 2, 2)
+        gram = ("one-sided", (1, 4, 4))
+        path, angles = ("two-sided", (4, 4, 4)), ("one-sided", (10, 2, 2))
         assert calls == [[gram, path, angles], [gram, path, angles], [path, angles]] * 2
 
     def test_no_projector_is_built(self, monkeypatch):
@@ -325,7 +328,7 @@ class TestWalkPath:
         inst = campaign._build_instance("convex-separated", 6, 0.5, 3)
         kernel_calls.clear()
         campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
-        assert kernel_calls == [(2, 6, 6), (3, 3, 3)]
+        assert kernel_calls == [("two-sided", (2, 6, 6)), ("one-sided", (3, 3, 3))]
 
 
 GENERATED_PLANS = ("convex-separated", "doubly-interleaved", "rank-one")
@@ -407,6 +410,36 @@ class TestWarmPath:
         assert np.all(warm < cold)
         assert warm.mean() <= 6.0
         assert cold.mean() - warm.mean() >= 2.0
+
+    def test_preconditioning_saves_one_sided_sweeps(self, monkeypatch):
+        # the angle stacks of the instances above, against one-sided Jacobi
+        # on the same oriented, scaled products without the two QRs; only the
+        # path walk is recorded, not the Gram call of the instance build
+        precond, raw = [], []
+        sweeps, precondition = core.hestenes_sweeps, core._preconditioned
+
+        def record_sweeps(b, *args):
+            found = sweeps(b, *args)
+            precond.append(found[0].copy())
+            return found
+
+        def record_raw(b):
+            raw.append(_jacobi.hestenes_sweeps(b.copy(), core.JACOBI_TOL, core.MAX_SWEEPS)[0])
+            return precondition(b)
+
+        pairs = [(s, t) for i, s in enumerate(campaign.T_GRID) for t in campaign.T_GRID[i + 1 :]]
+        for plan in GENERATED_PLANS:
+            for ratio in (0.25, 0.65, 0.95):
+                for seed in (9, 10):
+                    inst = campaign._build_instance(plan, 48, ratio, seed)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(core, "hestenes_sweeps", record_sweeps)
+                        patch.setattr(core, "_preconditioned", record_raw)
+                        campaign.walk_path(inst, pairs)
+        precond, raw = np.concatenate(precond), np.concatenate(raw)
+        assert precond.size == raw.size == 180
+        assert precond.mean() <= 7.0
+        assert raw.mean() - precond.mean() >= 2.0
 
 
 def path_angle(inst) -> float:

@@ -255,6 +255,22 @@ class TestSingularValuesMany:
             assert np.all(np.diff(values) <= 0.0)
             assert np.abs(values - oracle).max() <= 1e-13 * oracle[0]
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 5), (1, 7), (12, 12)])
+    def test_graded_singular_values_to_full_relative_accuracy(self, shape, scale):
+        # B = diag(d) H, with H orthonormal rows of a Haar matrix, has the
+        # singular values d; d runs from 1 down to 1e-150 in shuffled order,
+        # so the QR pivots and the one-sided rotations must both keep the
+        # smallest ones to relative accuracy
+        k, n = min(shape), max(shape)
+        rng = PortableRng(78 + n)
+        d = np.logspace(0.0, -150.0, k)[np.argsort(rng.uniforms(k))]
+        b = d[:, None] * rng.haar_orthogonal(n)[:k]
+        m = scale * (b if shape[0] <= shape[1] else b.T)
+        values = singular_values_many([m])[0]
+        expected = scale * np.sort(d)[::-1]
+        assert np.max(np.abs(values - expected) / expected) <= 1e-14
+
     def test_one_row_has_no_rounds(self):
         assert _jacobi._pairs(1) == ()
         b = np.array([[[3.0, 4.0]], [[0.0, 0.0]]])

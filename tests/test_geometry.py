@@ -67,7 +67,7 @@ class TestAngleReport:
     def test_one_singular_value_call_and_no_eigensolve(self, kernel_calls):
         p, q = haar_projector(6, 2, 10), haar_projector(6, 3, 11)
         angle_report(p, q)
-        assert kernel_calls == [(2, 6, 6)]
+        assert kernel_calls == [("one-sided", (2, 6, 6))]
         kernel_calls.clear()
         assert angle_report(p, p).sines.tolist() == [0.0] * 6
         assert kernel_calls == []
@@ -154,9 +154,11 @@ class TestAngleReportsFromBases:
         assert report.sines.tolist() == [0.0] * 4
 
     def test_one_kernel_call_per_stack(self, kernel_calls):
+        # three 5 x 4 products, oriented 4 x 5, reach the kernel as the
+        # 4 x 4 factors of their QR preconditioning
         planes = [range_bases(haar_projector(9, 4, seed)) for seed in range(4)]
         angle_reports(list(zip(planes, planes[1:])))
-        assert kernel_calls == [(3, 4, 5)]
+        assert kernel_calls == [("one-sided", (3, 4, 4))]
 
     def test_rejects_inconsistent_bases(self):
         p = range_bases(haar_projector(5, 2, 1))
@@ -261,7 +263,7 @@ class TestPsdBlockBounds:
     def test_one_kernel_call_per_triple(self, kernel_calls):
         v = random_psd(6, 61)
         psd_block_bounds(v, haar_projector(6, 2, 62))
-        assert kernel_calls == [(3, 6, 6)]
+        assert kernel_calls == [("two-sided", (3, 6, 6))]
 
     def test_rejects_indefinite(self):
         v = SymmetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -32,8 +32,9 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "verify500.js
 
 # sha256 of the bytes of A then V of the first 15 verify500 trials, which
 # cover every plan of that config. haar_orthogonal calls LAPACK's QR and the
-# Gram spectrum scales V, so the bytes hold for conftest's PINNED_BUILD only.
-FIRST_TRIALS_SHA256 = "e6d063ead95391b5116df28e41ac53771530e89e07ed794ec760af282546875f"
+# Gram spectrum sigma(G)^2, from a QR-preconditioned SVD, scales V, so the
+# bytes hold for conftest's PINNED_BUILD only.
+FIRST_TRIALS_SHA256 = "9d9f7b2a2eed867a67d1688f2ff21f44559ed9474d95f1edb87101d7c6a02b40"
 
 GENERATORS = {
     "convex": lambda n, seed: random_instance(n, convex_plan(n), 0.65, seed),
@@ -285,9 +286,28 @@ class TestGeneratedDecomposition:
         inst = GENERATORS[kind](8, 5)
         assert inst.v_norm == pytest.approx(eigh(inst.v).norm, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["convex", "interleaved"])
+    @pytest.mark.parametrize("n", [8, 48])
+    def test_gram_spectrum_matches_a_solve_of_v(self, monkeypatch, kind, n):
+        # V's spectrum comes from the squared singular values of G, not from
+        # a solve of G G^T; it must agree with one within 1e-13 * ||V||_F
+        given = []
+        assemble = PerturbationInstance.assemble.__func__
+
+        def record(cls, a, v, sigma_indices, dec_a, v_eigenvalues, label=""):
+            given.append(v_eigenvalues)
+            return assemble(cls, a, v, sigma_indices, dec_a, v_eigenvalues, label)
+
+        monkeypatch.setattr(PerturbationInstance, "assemble", classmethod(record))
+        inst = GENERATORS[kind](n, 32)
+        (v_eigenvalues,) = given
+        oracle = eigh(inst.v).eigenvalues
+        assert np.abs(v_eigenvalues - oracle).max() <= 1e-13 * np.linalg.norm(inst.v.entries)
+        assert inst.v_norm == v_eigenvalues[-1]
+
     def test_random_instance_solves_only_the_gram_matrix(self, kernel_calls):
         random_instance(8, interleaved_plan(8), 0.5, seed=3)
-        assert kernel_calls == [(1, 8, 8)]
+        assert kernel_calls == [("one-sided", (1, 8, 8))]
         kernel_calls.clear()
         random_instance(8, convex_plan(8), 0.0, seed=3)
         assert kernel_calls == []

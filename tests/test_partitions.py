@@ -173,7 +173,7 @@ class TestChainDemo:
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         kernel_calls.clear()
         chain = chain_demo(inst, grid)
-        assert kernel_calls == [(4, 8, 8), (5, 4, 4)]
+        assert kernel_calls == [("two-sided", (4, 8, 8)), ("one-sided", (5, 4, 4))]
         bases = [omega_component(inst, t).bases for t in grid]
         steps = tuple(
             angle_reports([(s, t)])[0].max_angle for s, t in zip(bases, bases[1:])
@@ -187,7 +187,7 @@ class TestChainDemo:
         inst = random_instance(8, interleaved_plan(8), 0.5, seed=12)
         kernel_calls.clear()
         chain = chain_demo(inst, (0.0, 0.5, 0.5, 1.0))
-        assert kernel_calls == [(2, 8, 8), (3, 4, 4)]
+        assert kernel_calls == [("two-sided", (2, 8, 8)), ("one-sided", (3, 4, 4))]
         assert chain.per_step_angles[1] == 0.0
 
     def test_oversized_step_has_no_cap(self):
