@@ -4,8 +4,9 @@ Exact constructions: the 2x2 family saturating the favorable-geometry bound
 and the 4x4 PSD block example hitting both ends of the block-norm inequality.
 Seeded ensembles: random instances whose base-matrix spectrum is sampled
 inside a SpecPlan's clusters with the gap pinned exactly, perturbed by either
-a full-rank Wishart-type PSD matrix or a rank-one spike. Everything is
-reproducible bit for bit from (plan, n, v_ratio, seed).
+a full-rank PSD matrix, a sampled spectrum behind a Haar basis, or by a
+rank-one spike. Everything is reproducible bit for bit from (plan, n,
+v_ratio, seed).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     SymmetricMatrix,
     decompositions,
     set_distance,
-    singular_values_many,
 )
 from .rng import PortableRng
 
@@ -220,23 +220,21 @@ def random_instance(
     n: int, plan: SpecPlan, v_ratio: float, seed: int
 ) -> PerturbationInstance:
     """Seeded instance: spectrum sampled inside the plan's clusters behind a
-    Haar-random basis, perturbed by a PSD Gram matrix G G^T rescaled to
-    ||V|| = v_ratio * d_target. The one kernel call is the one-sided SVD of G,
-    since spec(G G^T) = sigma(G)^2: A's spectrum and basis are the sampled
-    ones, V's the scaled squares of G's singular values."""
+    Haar-random basis, perturbed by V = H diag(mu) H^T with H Haar-random and
+    mu = c * u^2, c = v_ratio * d_target, for n ascending uniform draws u whose
+    largest is set to 1, so ||V|| = c exactly. The squares give mu the density
+    proportional to mu^(-1/2) near 0 that the spectrum of a square Gram matrix
+    G G^T has. Nothing is solved: A's draws come first, and both spectra and
+    bases are the sampled ones."""
     if not 0.0 <= v_ratio < 1.0:
         raise ValueError("v_ratio must lie in [0, 1)")
     rng = PortableRng(seed)
     a, dec_a, sigma_indices = _base_matrix(plan, n, rng)
-    if v_ratio == 0.0:
-        v = SymmetricMatrix.zero(n)
-        v_eigenvalues = np.zeros(n)
-    else:
-        g = rng.gaussians(n * n).reshape(n, n)
-        gram_eigenvalues = singular_values_many([g])[0][::-1] ** 2
-        factor = v_ratio * plan.d_target / gram_eigenvalues[-1]
-        v = SymmetricMatrix(g @ g.T).scaled(factor)
-        v_eigenvalues = gram_eigenvalues * factor
+    u_squared = np.sort(rng.uniforms(n) ** 2)
+    u_squared[-1] = 1.0
+    v_eigenvalues = v_ratio * plan.d_target * u_squared
+    h = rng.haar_orthogonal(n)
+    v = SymmetricMatrix((h * v_eigenvalues) @ h.T)
     label = f"{plan.geometry}-n{n}-v{v_ratio:g}-s{seed}"
     return PerturbationInstance.assemble(a, v, sigma_indices, dec_a, v_eigenvalues, label)
 

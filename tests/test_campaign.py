@@ -258,19 +258,16 @@ class TestRunCampaign:
         assert rows_jsonl(slow) == rows_jsonl(reports)
 
     def test_kernel_calls_per_trial(self, kernel_calls):
-        # Gram-based plans: the Gram factor G in a one-sided call, the path in
-        # the one two-sided call, and the ten 2 x 2 basis products of the
-        # angles in one one-sided call; the generators pass A's spectrum and
-        # basis, so A and V are not solved, and rank-one builds V without a
-        # Gram matrix
+        # every plan: the path in the one two-sided call and the ten 2 x 2
+        # basis products of the angles in one one-sided call; the generators
+        # sample A's and V's spectra and bases, so nothing else is solved
         cfg = small_config(plans=["convex-separated", "doubly-interleaved", "rank-one"], trials=6)
         calls = []
         for _ in run_campaign(cfg):
             calls.append(list(kernel_calls))
             kernel_calls.clear()
-        gram = ("one-sided", (1, 4, 4))
         path, angles = ("two-sided", (4, 4, 4)), ("one-sided", (10, 2, 2))
-        assert calls == [[gram, path, angles], [gram, path, angles], [path, angles]] * 2
+        assert calls == [[path, angles]] * 6
 
     def test_no_projector_is_built(self, monkeypatch):
         # the angles come from n x r bases: no n x n projector, no P_s - P_t
@@ -413,8 +410,8 @@ class TestWarmPath:
 
     def test_preconditioning_saves_one_sided_sweeps(self, monkeypatch):
         # the angle stacks of the instances above, against one-sided Jacobi
-        # on the same oriented, scaled products without the two QRs; only the
-        # path walk is recorded, not the Gram call of the instance build
+        # on the same oriented, scaled products without the two QRs, recorded
+        # in the path walk
         precond, raw = [], []
         sweeps, precondition = core.hestenes_sweeps, core._preconditioned
 
