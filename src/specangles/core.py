@@ -122,14 +122,15 @@ class SpectralDecomposition:
 
 def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     """Full eigendecomposition by round-robin Jacobi, every sweep rotating
-    every nonzero pivot.
+    every nonzero pivot; from n = 16, all-pairs steps finish a near-diagonal
+    matrix (see `_jacobi`).
 
     Converged when the off-diagonal Frobenius norm is at most 1e-13 * ||M||_F,
     tested on M divided by a power of two (see `_scaled`), so the rule is
-    relative at every scale; hard cap of 100 sweeps. Ordering is ascending
-    with ties left in stable (original index) order, and each eigenvector's
-    largest-magnitude component is made positive, so identical input gives
-    identical output.
+    relative at every scale; hard cap of 100 sweeps and steps together.
+    Ordering is ascending with ties left in stable (original index) order,
+    and each eigenvector's largest-magnitude component is made positive, so
+    identical input gives identical output.
     """
     return eigh_many([m])[0]
 
@@ -147,8 +148,9 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     """Eigendecompositions of several same-size matrices in one kernel call.
 
     Each matrix gets exactly the decomposition `eigh` gives it alone: its own
-    scale, tolerance 1e-13 * ||M||_F and sweep cap, and the conventions of
-    `decompositions`. Raises ConvergenceError if any matrix misses it.
+    scale, tolerance 1e-13 * ||M||_F, cap of sweeps and steps, and the
+    conventions of `decompositions`. Raises ConvergenceError if any matrix
+    misses it.
     """
     if not ms:
         return []

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from specangles import (
     omega_component,
     BoundRow,
     CampaignConfig,
+    ConvergenceError,
+    PortableRng,
+    SymmetricMatrix,
+    eigh_many,
     ConfigError,
     ROW_FIELDS,
     TrialReport,
@@ -378,17 +383,18 @@ class TestWarmPath:
             assert residual_and_defect(m, inst.lifted([eigh(diag)])[0])[0] > 1e-12
 
     def test_warm_start_saves_sweeps(self, monkeypatch):
-        # sweeps are a pure function of the input matrix. Seeds 9 and 10 hold
-        # the slowest n = 48 path matrices of seeds 0-39 on these plans and
-        # ratios: 7 sweeps, where 99% take at most 6. No cold solve takes
-        # fewer than 7.
+        # sweeps and steps are pure functions of the input matrix. At n = 48
+        # a path matrix starts with off <= 0.25 ||M||_F, so all-pairs steps
+        # take it from the start; a cold matrix needs two or three sweeps
+        # first. A matrix sweeps after its steps only when they hit the cap
+        # of 12 before the tolerance: 4 of these 72 warm matrices do, once.
         recorded = []
         original = core.jacobi_sweeps
 
         def record(a, *args):
-            sweeps, off = original(a, *args)
-            recorded.append(sweeps.copy())
-            return sweeps, off
+            counts = original(a, *args)
+            recorded.append((counts[0].copy(), counts.steps.copy()))
+            return counts
 
         monkeypatch.setattr(core, "jacobi_sweeps", record)
         warm, cold = [], []
@@ -401,12 +407,16 @@ class TestWarmPath:
                     core.eigh_many([inst.perturbed(t) for t in times])
                     cold.append(recorded.pop())
                     warm.append(recorded.pop())
-        warm, cold = np.concatenate(warm), np.concatenate(cold)
-        assert warm.size == 72
-        assert warm.max() <= 7
-        assert np.all(warm < cold)
-        assert warm.mean() <= 6.0
-        assert cold.mean() - warm.mean() >= 2.0
+        (warm_sweeps, warm_steps), (cold_sweeps, cold_steps) = (
+            [np.concatenate(counts) for counts in zip(*side)] for side in (warm, cold)
+        )
+        assert warm_sweeps.size == 72
+        assert warm_sweeps.max() <= 1 and np.sum(warm_sweeps == 0) >= 68
+        assert cold_sweeps.min() >= 2
+        assert np.all(warm_sweeps < cold_sweeps)
+        assert warm_steps.mean() <= 9.0 and cold_steps.mean() <= 10.0
+        assert max(warm_steps.max(), cold_steps.max()) <= _jacobi.STEP_CAP
+        assert cold_sweeps.mean() - warm_sweeps.mean() >= 2.0
 
     def test_preconditioning_saves_one_sided_sweeps(self, monkeypatch):
         # the angle stacks of the instances above, against one-sided Jacobi
@@ -437,6 +447,83 @@ class TestWarmPath:
         assert precond.size == raw.size == 180
         assert precond.mean() <= 7.0
         assert raw.mean() - precond.mean() >= 2.0
+
+
+class TestAllPairsSteps:
+    # from n = 16 the two-sided kernel finishes near-diagonal matrices with
+    # all-pairs steps, which pass through LAPACK's QR; the n = 7 and 8 bit
+    # tests of test_core never reach them
+    N = 24
+
+    def stack(self):
+        n = self.N
+        inst = campaign._build_instance("convex-separated", n, 0.65, 7)
+        g = PortableRng(n).gaussians(n * 3).reshape(n, 3)
+        sym = PortableRng(43).gaussians(n * n).reshape(n, n)
+        return [
+            inst.in_eigenbasis(1.0),
+            inst.perturbed(1.0),
+            SymmetricMatrix(g @ g.T),
+            SymmetricMatrix.zero(n),
+            SymmetricMatrix.diagonal(np.resize([3.0, -1.0, 2.0, 0.0], n)),
+            SymmetricMatrix(sym + sym.T).scaled(1e-6),
+        ]
+
+    def test_stack_gives_the_bits_of_each_matrix_alone(self, monkeypatch):
+        steps = []
+        original = core.jacobi_sweeps
+
+        def record(a, *args):
+            counts = original(a, *args)
+            steps.append(counts.steps.copy())
+            return counts
+
+        monkeypatch.setattr(core, "jacobi_sweeps", record)
+        ms = self.stack()
+        for m, dec in zip(ms, eigh_many(ms), strict=True):
+            alone = eigh(m)
+            assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
+        # the warm, cold and PSD matrices step; zero and the diagonal need nothing
+        assert np.all(steps[0][:3] > 0) and steps[0][3:5].tolist() == [0, 0]
+
+    def test_walk_path_gives_the_bits_of_spectrum(self):
+        inst = campaign._build_instance("doubly-interleaved", self.N, 0.95, 3)
+        decs, _ = campaign.walk_path(inst, [(0.0, t) for t in campaign.T_GRID[1:]])
+        for t, dec in decs.items():
+            alone = inst.spectrum(t)
+            assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
+    def test_degenerate_inputs_meet_the_warm_path_bounds(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in self.stack():
+                m = m.scaled(scale)
+                dec = eigh(m)
+                if np.any(m.entries):
+                    assert residual_and_defect(m.entries, dec)[0] <= 1e-12
+                u = dec.eigenvectors
+                assert np.max(np.abs(u.T @ u - np.eye(self.N))) <= 1e-13
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SWEEPS", 0)
+        # the stopping rule is checked first, so a diagonal needs no sweep;
+        # the warm, cold and PSD matrices each need steps and raise
+        ms = self.stack()
+        repeats = ms[4]
+        assert np.array_equal(eigh(repeats).eigenvalues, np.sort(np.diag(repeats.entries)))
+        for m in ms[:3]:
+            with pytest.raises(ConvergenceError):
+                eigh_many([repeats, m])
+
+    def test_below_16_there_are_no_steps(self):
+        g = PortableRng(15).gaussians(2 * 15 * 15).reshape(2, 15, 15)
+        a = g + g.transpose(0, 2, 1)
+        tol = 1e-13 * np.sqrt(np.sum(a * a, axis=(1, 2)))
+        counts = _jacobi.jacobi_sweeps(a, np.repeat(np.eye(15)[None], 2, axis=0), tol, 100)
+        assert np.all(counts[0] > 0) and counts.steps.tolist() == [0, 0]
 
 
 def path_angle(inst) -> float:
