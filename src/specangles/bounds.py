@@ -7,10 +7,10 @@ The subspace tracked is the one belonging to omega_t, the part of
 spec(A + tV) trapped in the one-sided enlargement sigma + [0, t*||V||]; by
 Weyl's inequalities these are the eigenvalues at sigma's indices, so sigma
 is carried by its indices alone and omega_t is selected by the same ones.
-This module provides the enclosure and gap-persistence facts, the angle
-bounds (favorable-geometry, sin-2-theta, arcsin corollary, generic N, log
-integral) with angle_bounds deciding their hypotheses, the piecewise bound
-function N with its switchover root kappa, and the critical constants.
+This module provides the enclosure check, the angle bounds
+(favorable-geometry, sin-2-theta, arcsin corollary, generic N, log integral)
+with angle_bounds deciding their hypotheses, the piecewise bound function N
+with its switchover root kappa, and the critical constants.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
     membership_tol,
     require_psd,
     set_distance,
-    spectral_projector,
+    spectral_projector,  # the benchmark's tracer wraps it here: ROADMAP item 1
 )
 
 # Critical ratios: a semidefinite perturbation admits the generic bound up to
@@ -299,18 +299,6 @@ def _shifted_margins(points: np.ndarray, shift: float, x: np.ndarray) -> np.ndar
     # signed_margin's min keeps depth on a tie, which decides -0.0 against 0.0
     inside = np.where(height < depth, height, depth)
     return np.where(past <= 0.0, inside, -np.minimum(past, before))
-
-
-def gap_persistence(a: float, b: float, v_norm: float) -> IntervalSet:
-    """The part (a + ||V||, b) of a spectral gap (a, b) guaranteed to stay in
-    the resolvent set; empty once the shift can close the gap."""
-    if not a < b:
-        raise ValueError("need a < b")
-    if v_norm < 0:
-        raise ValueError("v_norm must be nonnegative")
-    if v_norm >= b - a:
-        return IntervalSet(())
-    return IntervalSet(((a + v_norm, b),))
 
 
 def omega_component(

@@ -62,14 +62,6 @@ class SymmetricMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def identity(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.zeros((n, n)))
-
-    @classmethod
     def diagonal(cls, values: Iterable[float]) -> "SymmetricMatrix":
         return cls(np.diag(np.asarray(list(values), dtype=float)))
 
@@ -80,11 +72,6 @@ class SymmetricMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return SymmetricMatrix(self.entries + other.entries)
-
-    def __sub__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SymmetricMatrix(self.entries - other.entries)
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "rows": self.entries.tolist()})
@@ -114,10 +101,6 @@ class SpectralDecomposition:
         """Spectral norm of the decomposed matrix, max |eigenvalue|."""
         w = self.eigenvalues
         return float(max(abs(w[0]), abs(w[-1])))
-
-    def reconstruct(self) -> SymmetricMatrix:
-        q = self.eigenvectors
-        return SymmetricMatrix((q * self.eigenvalues) @ q.T)
 
 
 def eigh(m: SymmetricMatrix) -> SpectralDecomposition:

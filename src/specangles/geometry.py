@@ -17,8 +17,6 @@ from .core import (
     singular_values_many,
 )
 
-ORTHO_TOL = 1e-10
-
 # An orthonormal basis of a subspace and one of its orthogonal complement.
 Bases = tuple[np.ndarray, np.ndarray]
 
@@ -43,16 +41,6 @@ class BlockSplit:
     w: np.ndarray
     v1: SymmetricMatrix
     basis: np.ndarray
-
-    def reassemble(self) -> SymmetricMatrix:
-        r = self.v0.dim
-        n = r + self.v1.dim
-        block = np.zeros((n, n))
-        block[:r, :r] = self.v0.entries
-        block[:r, r:] = self.w
-        block[r:, :r] = self.w.T
-        block[r:, r:] = self.v1.entries
-        return SymmetricMatrix(self.basis @ block @ self.basis.T)
 
 
 def angle_report(p: Projector, q: Projector) -> AngleReport:
@@ -131,10 +119,6 @@ def _report(values: list[np.ndarray], n: int) -> AngleReport:
     )
 
 
-def sin_two_theta_norm(p: Projector, q: Projector) -> float:
-    return angle_report(p, q).sin2_norm
-
-
 def _reflected(v: SymmetricMatrix, q: Projector) -> np.ndarray:
     # KVK for the reflection K = 2Q - I.
     if v.dim != q.dim:
@@ -143,11 +127,7 @@ def _reflected(v: SymmetricMatrix, q: Projector) -> np.ndarray:
     return k @ v.entries @ k
 
 
-def reflection_defect(v: SymmetricMatrix, q: Projector) -> float:
-    """||V - KVK|| for the reflection K = 2Q - I; at most ||V|| when V >= 0."""
-    return eigh(SymmetricMatrix(v.entries - _reflected(v, q))).norm
-
-
+# Kept because the benchmark's tracer names it; it can go with ROADMAP item 1.
 def block_split(v: SymmetricMatrix, q: Projector) -> BlockSplit:
     """Split V into blocks along Ran Q and its complement.
 
@@ -194,23 +174,3 @@ def psd_block_bounds(v: SymmetricMatrix, q: Projector) -> tuple[float, float, fl
     require_psd(dec_v.eigenvalues)
     return dec_off.norm, dec_v.norm, dec_diag.norm
 
-
-def compression_2x2(v: SymmetricMatrix, f: np.ndarray, g: np.ndarray) -> SymmetricMatrix:
-    """Compression of V onto span{f, g} for an orthonormal pair (f, g):
-    [[<f,Vf>, <f,Vg>], [<g,Vf>, <g,Vg>]].
-
-    Inputs are validated, not silently projected: non-unit or non-orthogonal
-    vectors raise. Over all pairs with f in Ran Q and g in its complement, the
-    norms of these 2x2 compressions exhaust ||V|| from below.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (v.dim,) or g.shape != (v.dim,):
-        raise ValueError("dimension mismatch")
-    if abs(np.linalg.norm(f) - 1.0) > ORTHO_TOL or abs(np.linalg.norm(g) - 1.0) > ORTHO_TOL:
-        raise ValueError("f and g must be unit vectors")
-    if abs(float(f @ g)) > ORTHO_TOL:
-        raise ValueError("f and g must be orthogonal")
-    vf = v.entries @ f
-    vg = v.entries @ g
-    return SymmetricMatrix([[f @ vf, f @ vg], [g @ vf, g @ vg]])

@@ -18,7 +18,6 @@ import numpy as np
 
 from .bounds import (
     CONVEX_SEPARATED,
-    INTERLEAVED,
     PerturbationInstance,
     convexity_condition,
 )
@@ -74,14 +73,6 @@ class SpecPlan:
     @property
     def n(self) -> int:
         return self.counts[0] + self.counts[1]
-
-    @property
-    def expected_geometry(self) -> str:
-        # Instance-level classification collapses "doubly-interleaved" to the
-        # generic non-convex label.
-        return (
-            CONVEX_SEPARATED if self.geometry == CONVEX_SEPARATED else INTERLEAVED
-        )
 
 
 def convex_plan(n: int, d_target: float = 1.0) -> SpecPlan:

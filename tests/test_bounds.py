@@ -33,7 +33,6 @@ from specangles import (
     convexity_condition,
     eigh,
     enclosure_check,
-    gap_persistence,
     kappa_solve,
     omega_component,
     shift_set,
@@ -358,7 +357,7 @@ class TestPerturbationInstance:
 
     def test_interleaved_geometry_detected(self):
         a = SymmetricMatrix.diagonal([0.0, 2.0, 4.0, 6.0])
-        v = SymmetricMatrix.zero(4)
+        v = SymmetricMatrix(np.zeros((4, 4)))
         inst = PerturbationInstance.build(a, v, (0, 2))
         assert inst.geometry == INTERLEAVED
         assert inst.v_norm == 0.0
@@ -371,9 +370,9 @@ class TestPerturbationInstance:
 
     def test_build_validations(self):
         a = SymmetricMatrix.diagonal([0.0, 1.0, 2.0])
-        v = SymmetricMatrix.zero(3)
+        v = SymmetricMatrix(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            PerturbationInstance.build(a, SymmetricMatrix.zero(4), (0,))
+            PerturbationInstance.build(a, SymmetricMatrix(np.zeros((4, 4))), (0,))
         with pytest.raises(ValueError):
             PerturbationInstance.build(a, v, ())
         with pytest.raises(ValueError):
@@ -449,24 +448,6 @@ class TestEnclosure:
             enclosure_check(inst, -0.1)
         with pytest.raises(ValueError):
             enclosure_check(inst, 1.5)
-
-
-class TestGapPersistence:
-    def test_partial_survival(self):
-        surviving = gap_persistence(-0.5, 0.5, 0.6)
-        (lo, hi), = surviving.intervals
-        assert lo == pytest.approx(0.1, abs=1e-15)
-        assert hi == 0.5
-
-    def test_closed_gap_is_empty(self):
-        assert gap_persistence(0.0, 1.0, 1.0).is_empty
-        assert gap_persistence(0.0, 1.0, 2.0).is_empty
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gap_persistence(1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            gap_persistence(0.0, 1.0, -0.1)
 
 
 class TestOmegaComponent:

@@ -464,7 +464,7 @@ class TestAllPairsSteps:
             inst.in_eigenbasis(1.0),
             inst.perturbed(1.0),
             SymmetricMatrix(g @ g.T),
-            SymmetricMatrix.zero(n),
+            SymmetricMatrix(np.zeros((n, n))),
             SymmetricMatrix.diagonal(np.resize([3.0, -1.0, 2.0, 0.0], n)),
             SymmetricMatrix(sym + sym.T).scaled(1e-6),
         ]

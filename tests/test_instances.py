@@ -51,7 +51,7 @@ class TestSpecPlan:
         assert plan.n == 8
         assert plan.counts == (4, 4)
         assert plan.d_target == 1.0
-        assert plan.expected_geometry == "convex-separated"
+        assert plan.geometry == "convex-separated"
 
     def test_convex_plan_scales_with_gap(self):
         plan = convex_plan(5, d_target=2.0)
@@ -64,7 +64,7 @@ class TestSpecPlan:
         assert plan.counts == (4, 5)
         assert plan.d_target == 2.0
         assert plan.geometry == DOUBLY_INTERLEAVED
-        assert plan.expected_geometry == "interleaved"
+        assert plan.geometry == "doubly-interleaved"
 
     def test_size_floors(self):
         with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ class TestRandomInstance:
         inst = random_instance(8, plan, 0.3, seed=7)
         assert inst.d == pytest.approx(1.0, abs=1e-10)
         assert inst.v_norm == pytest.approx(0.3, abs=1e-10)
-        assert inst.geometry == plan.expected_geometry
+        assert inst.geometry == "convex-separated"
         assert len(inst.sigma_indices) == plan.counts[0]
         assert inst.label == "convex-separated-n8-v0.3-s7"
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -32,12 +33,20 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="exported parent checkout")
     parser.add_argument("--change", required=True, type=Path, help="exported change checkout")
-    parser.add_argument("--seeds", required=True, help="inclusive range FIRST-LAST")
+    parser.add_argument(
+        "--seeds", required=True, help="inclusive range FIRST-LAST of at least two seeds"
+    )
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--claim", help="WORKLOAD:METRIC of the gain claimed, if any")
     parser.add_argument("--out", required=True, type=Path)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # quartiles need two runs a side: refuse fewer seeds before any run
+    found = re.fullmatch(r"(\d+)-(\d+)", args.seeds)
+    if not found or int(found[1]) >= int(found[2]):
+        parser.error(f"--seeds must be FIRST-LAST with FIRST < LAST, not {args.seeds!r}")
+    args.seeds = list(range(int(found[1]), int(found[2]) + 1))
+    return args
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -102,8 +111,7 @@ def claim(workloads: dict, target: str, spec: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    first, last = (int(s) for s in args.seeds.split("-"))
-    seeds = list(range(first, last + 1))
+    seeds = args.seeds
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     spec = bench["end_to_end"]
     names = args.workloads or [w["name"] for w in bench["workloads"]]
@@ -142,10 +150,10 @@ def main(argv=None) -> int:
         }
     out["method"] = (
         f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
-        f"for workloads {', '.join(names)}, seeds {first}-{last}, one parent and one change run "
-        "per seed and workload, parent first on odd seeds and change first on even seeds, each "
-        "side run from its own exported checkout by tools/bench_pairs.py; quartiles are "
-        "inclusive; change_better_in_pairs counts pairs where the change reads better"
+        f"for workloads {', '.join(names)}, seeds {seeds[0]}-{seeds[-1]}, one parent and one "
+        "change run per seed and workload, parent first on odd seeds and change first on even "
+        "seeds, each side run from its own exported checkout by tools/bench_pairs.py; quartiles "
+        "are inclusive; change_better_in_pairs counts pairs where the change reads better"
     )
     if args.claim:
         out["claim"] = claim(workloads, args.claim, spec)
