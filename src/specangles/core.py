@@ -159,10 +159,11 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     every pair; the row norms, scaled back, are the singular values, small
     ones to high relative accuracy (Demmel & Veselic 1992; Drmac & Veselic
     2008 for the QR preconditioning) from subnormal to near overflow. The
-    Gram matrix of the current rows only picks each round's rotations: no
-    value is read from the eigenvalues of M^T M. A matrix gets the same values
-    alone or in a stack. Hard cap of 100 sweeps; raises ConvergenceError if
-    any matrix misses the tolerance there.
+    Gram matrix of the current rows only picks each round's or step's
+    rotations: no value is read from the eigenvalues of M^T M. A matrix gets
+    the same values alone or in a stack. Hard cap of 100 sweeps and all-pairs
+    steps together; raises ConvergenceError if any matrix misses the
+    tolerance there.
     """
     if not len(ms):
         return []

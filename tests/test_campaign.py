@@ -525,6 +525,26 @@ class TestAllPairsSteps:
         counts = _jacobi.jacobi_sweeps(a, np.repeat(np.eye(15)[None], 2, axis=0), tol, 100)
         assert np.all(counts[0] > 0) and counts.steps.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("r", [15, 16])
+    def test_one_sided_steps_start_at_16_rows(self, monkeypatch, r):
+        # the one-sided kernel stages by its row count and returns the same
+        # Counts: square and wide stacks of 15 rows only sweep, of 16 rows
+        # every matrix steps, and needs fewer sweeps than sweeps alone take
+        for m in (r, r + 9):
+            b = PortableRng(100 + m).gaussians(2 * r * m).reshape(2, r, m)
+            counts = _jacobi.hestenes_sweeps(b.copy(), 1e-13, 100)
+            sweeps, off = counts
+            assert isinstance(counts, _jacobi.Counts) and counts[0] is sweeps
+            assert np.all(off <= 1e-13) and counts.steps.dtype == np.int64
+            if r < _jacobi.STEP_MIN_N:
+                assert np.all(sweeps > 0) and counts.steps.tolist() == [0, 0]
+                continue
+            assert np.all(counts.steps > 0) and counts.steps.max() <= _jacobi.STEP_CAP
+            with monkeypatch.context() as patch:
+                patch.setattr(_jacobi, "STEP_MIN_N", r + 1)
+                alone = _jacobi.hestenes_sweeps(b.copy(), 1e-13, 100)
+            assert alone.steps.tolist() == [0, 0] and np.all(sweeps < alone[0])
+
 
 def path_angle(inst) -> float:
     _, (report,) = campaign.walk_path(inst, [(0.0, 1.0)])

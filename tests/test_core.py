@@ -172,6 +172,16 @@ class TestJacobiKernel:
             oracle = cosines[~np.eye(6, dtype=bool)].max()
             assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("scale", [2.0**-80, 1.0, 2.0**80])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 16, 48, 64])
+    def test_off_norm_matches_the_masked_sum(self, n, k, scale):
+        # the strided view must add the squares as the boolean-mask gather of
+        # the off-diagonal entries does, to the last bit
+        a = scale * PortableRng(1000 * n + k).gaussians(k * n * n).reshape(k, n, n)
+        masked = np.sqrt(np.sum(np.square(a[:, ~np.eye(n, dtype=bool)]), axis=1))
+        assert np.array_equal(_jacobi._off_norm(a), masked)
+
     def test_zero_row_beside_orthogonal_rows_needs_no_sweep(self):
         b = np.zeros((1, 3, 4))
         b[0, 0] = [3.0, 0.0, 0.0, 1.0]
@@ -241,7 +251,9 @@ class TestSingularValuesMany:
         g = PortableRng(seed).gaussians(count * shape[0] * shape[1])
         return list(g.reshape(count, *shape))
 
-    @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4), (2, 5), (17, 12)])
+    @pytest.mark.parametrize(
+        "shape", [(6, 6), (4, 9), (9, 4), (2, 5), (17, 12), (24, 24), (20, 33), (40, 16)]
+    )
     def test_stack_gives_the_bits_of_each_matrix_alone(self, shape):
         ms = self.stack(shape, 5, 71)
         for m, values in zip(ms, singular_values_many(ms), strict=True):
@@ -271,6 +283,39 @@ class TestSingularValuesMany:
         values = singular_values_many([m])[0]
         expected = scale * np.sort(d)[::-1]
         assert np.max(np.abs(values - expected) / expected) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
+    @pytest.mark.parametrize("r", [12, 16, 24, 32])
+    def test_graded_rows_keep_their_values_through_the_steps(self, monkeypatch, r, scale):
+        # B = diag(d) X with Gaussian X and d graded from 1 down to 1e-100 in
+        # groups of four equal entries, shuffled. The QR preconditioning
+        # separates the groups but leaves the rows within a group far from
+        # orthogonal (the diag(d) H rows above reach the kernel orthogonal),
+        # so the kernel rotates, and from r = 16 every matrix steps. Its
+        # values must be those of sweeps alone to the relative accuracy
+        # one-sided Jacobi gives graded rows
+        rng = PortableRng(180 + r)
+        ms = []
+        for _ in range(10):
+            d = np.repeat(np.logspace(0.0, -100.0, r // 4), 4)[np.argsort(rng.uniforms(r))]
+            ms.append(scale * d[:, None] * rng.gaussians(r * r).reshape(r, r))
+        steps = []
+        original = core.hestenes_sweeps
+
+        def record(b, *args):
+            counts = original(b, *args)
+            steps.append(counts.steps.copy())
+            return counts
+
+        monkeypatch.setattr(core, "hestenes_sweeps", record)
+        stepped = singular_values_many(ms)
+        monkeypatch.setattr(_jacobi, "STEP_MIN_N", r + 1)
+        swept = singular_values_many(ms)
+        assert np.all(steps[0] > 0) if r >= 16 else steps[0].tolist() == [0] * 10
+        assert steps[1].tolist() == [0] * 10
+        for values, alone in zip(stepped, swept, strict=True):
+            assert np.all(alone > 0.0)
+            assert np.max(np.abs(values - alone) / alone) <= 1e-14
 
     def test_one_row_has_no_rounds(self):
         assert _jacobi._pairs(1) == ()
