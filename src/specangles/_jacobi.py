@@ -14,7 +14,10 @@ is at most its tolerance, checked before the first sweep and after each one,
 or until the sweep cap.
 
 `jacobi_sweeps` is the two-sided eigensolver: a round is the orthogonal
-similarity J^T A J, and off is the off-diagonal Frobenius norm.
+similarity J^T A J, and off is the off-diagonal Frobenius norm. The
+eigenvectors are optional: given a stack of them, the kernel accumulates
+each rotation into it; given None, it carries A alone. The rotations of A
+never read the vectors, so A takes the same bits either way.
 `hestenes_sweeps` is the one-sided (Hestenes 1958) SVD, the same iteration
 on the Gram matrix B B^T applied from one side: a round reads its pivots
 from the Gram matrix of the current rows and applies J^T B, which keeps
@@ -40,7 +43,8 @@ sweeps alone.
 
 Everything is plain numpy and LAPACK on fixed orderings, so each result is
 a pure function of its input matrix: a matrix gives the same bits whether
-it is solved alone or inside a stack.
+it is solved alone or inside a stack. That includes off, whose squares
+each matrix sums as one contiguous row.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ def _tangent(app, aqq, apq):
     y = 2.0 * apq
     den = x + np.copysign(np.hypot(x, y), x)
     # A zero pivot divides by infinity, giving t = 0 and so c = 1, s = 0.
-    return y / np.where(apq != 0.0, den, np.inf)
+    den[apq == 0.0] = np.inf
+    return y / den
 
 
 def _rotation(app, aqq, apq):
@@ -106,7 +111,7 @@ def _block_rotation(n, offsets, c, s):
     # The identity as a strided unit diagonal: tiling np.eye costs more.
     rot = np.zeros((c.shape[0], n * n))
     rot[:, :: n + 1] = 1.0
-    rot[:, offsets] = np.concatenate([c, c, s, -s], axis=1)
+    rot[:, offsets] = np.concatenate((c, c, s, -s), axis=1)
     return rot.reshape(-1, n, n)
 
 
@@ -121,17 +126,26 @@ def _sweep(stacks, one_sweep, off_of, tol, budget, shrink=None, off=None):
     runs = np.zeros(off.shape, dtype=np.int64)
     if shrink is not None:  # a run that shrinks off too little ends the budget
         budget = np.array(np.broadcast_to(budget, off.shape))
-    # A matrix that stopped keeps its off and runs, so it stays stopped.
-    while (active := np.flatnonzero((off > tol) & (runs < budget))).size:
-        work = one_sweep(*[stack[active] for stack in stacks])
-        for stack, done in zip(stacks, work):
-            stack[active] = done
+    # `work` holds the latest values of the matrices `held`, in order, and is
+    # written back to `stacks` when a matrix stops and at the end. A matrix
+    # that stopped keeps its off and runs, so it stays stopped.
+    held, work = np.arange(off.size), stacks
+    while (active := ((off > tol) & (runs < budget)).nonzero()[0]).size:
+        if active.size < held.size:
+            if work is not stacks:
+                for stack, done in zip(stacks, work):
+                    stack[held] = done
+            held, work = active, tuple(stack[active] for stack in stacks)
+        work = one_sweep(*work)
         runs[active] += 1
         now = off_of(work[0])
         if shrink is not None:
             stalled = active[now > shrink * off[active]]
             budget[stalled] = runs[stalled]
         off[active] = now
+    if work is not stacks:
+        for stack, done in zip(stacks, work):
+            stack[held] = done
     return runs, off
 
 
@@ -144,16 +158,18 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def _off_norm(a: np.ndarray) -> np.ndarray:
-    """Off-diagonal Frobenius norm of each matrix in the stack, summed
-    directly over the off-diagonal entries in row-major order."""
-    # With the stack index varying fastest, each matrix's squares are added
-    # one by one in row-major order (pairwise, when the stack holds one).
-    square = np.square(_off_diagonal(a).transpose(1, 2, 0), order="C")
-    return np.sqrt(np.sum(square, axis=(0, 1)))
+    """Off-diagonal Frobenius norm of each matrix in the stack, summed over
+    its off-diagonal entries in row-major order."""
+    # One contiguous row per matrix, which numpy sums pairwise whatever the
+    # stack size, so a matrix gets the same bits alone or in a stack.
+    k, n, _ = a.shape
+    x = _off_diagonal(a).reshape(k, n * (n - 1))
+    return np.sqrt((x * x).sum(axis=1))
 
 
-def _two_sided_sweep(a, vec):
-    """One sweep of J^T A J rounds on the stack `a`, accumulated into `vec`."""
+def _two_sided_sweep(a, vec=None):
+    """One sweep of J^T A J rounds on the stack `a`, accumulated into `vec`
+    unless it is None; returns (a,) or (a, vec)."""
     k, n, _ = a.shape
     for pivots in _pairs(n):
         pairs = len(pivots) // 4
@@ -164,15 +180,17 @@ def _two_sided_sweep(a, vec):
         t, c, s = _rotation(app, aqq, apq)
         rot = _block_rotation(n, pivots, c, s)
         a = rot.transpose(0, 2, 1) @ a @ rot
-        vec = vec @ rot
+        if vec is not None:
+            vec = vec @ rot
         # Write the pivot entries the way a single classical rotation does:
         # the annihilated pair is exactly zero, the diagonal moves by -/+ t*a_pq.
+        # `entries` is a copy, so its pivots can be zeroed in place.
         shift = t * apq
-        pivot = np.where(t != 0.0, 0.0, apq)
+        apq[t != 0.0] = 0.0
         a.reshape(k, n * n)[:, pivots] = np.concatenate(
-            [app - shift, aqq + shift, pivot, pivot], axis=1
+            (app - shift, aqq + shift, apq, apq), axis=1
         )
-    return a, vec
+    return (a,) if vec is None else (a, vec)
 
 
 @lru_cache(maxsize=None)
@@ -203,12 +221,14 @@ def _step_rotation(g):
     return rot * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
 
 
-def _all_pairs_step(a, vec):
-    """One all-pairs step on the stack `a`, accumulated into `vec`: the Q of
-    `_step_rotation` applies as the symmetrized Q^T A Q."""
+def _all_pairs_step(a, vec=None):
+    """One all-pairs step on the stack `a`, accumulated into `vec` unless it
+    is None: the Q of `_step_rotation` applies as the symmetrized Q^T A Q.
+    Returns (a,) or (a, vec)."""
     q = _step_rotation(a)
     a = q.transpose(0, 2, 1) @ a @ q
-    return (a + a.transpose(0, 2, 1)) / 2.0, vec @ q
+    a = (a + a.transpose(0, 2, 1)) / 2.0
+    return (a,) if vec is None else (a, vec @ q)
 
 
 class Counts(tuple):
@@ -246,12 +266,14 @@ def _step_start(a: np.ndarray) -> np.ndarray:
 
 def jacobi_sweeps(a, vec, tol, max_sweeps):
     """Diagonalize each symmetric matrix of the stack `a` (k, n, n) in place,
-    accumulating its rotations into the matching slice of `vec`, until its
-    off-diagonal norm is at most its own `tol[i]`, in the stages of the
-    module docstring; sweeps and steps together stop at `max_sweeps`.
-    Returns Counts(sweeps, off) with the steps per matrix as `.steps`."""
+    accumulating its rotations into the matching slice of `vec` unless `vec`
+    is None, until its off-diagonal norm is at most its own `tol[i]`, in the
+    stages of the module docstring; sweeps and steps together stop at
+    `max_sweeps`. Returns Counts(sweeps, off) with the steps per matrix as
+    `.steps`."""
+    stacks = (a,) if vec is None else (a, vec)
     return _staged(
-        (a, vec), _two_sided_sweep, _all_pairs_step, _off_norm, tol, _step_start, max_sweeps
+        stacks, _two_sided_sweep, _all_pairs_step, _off_norm, tol, _step_start, max_sweeps
     )
 
 

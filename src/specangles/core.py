@@ -137,15 +137,35 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
     """
     if not ms:
         return []
-    n = ms[0].dim
-    if any(m.dim != n for m in ms):
+    vec = np.repeat(np.eye(ms[0].dim)[None], len(ms), axis=0)
+    return decompositions(_solved_diagonals(ms, vec), vec)
+
+
+def eigvalsh_many(ms: Sequence[SymmetricMatrix]) -> np.ndarray:
+    """Eigenvalues, ascending, of several same-size matrices in one kernel
+    call, as rows of a (k, n) array: bit for bit the eigenvalues `eigh_many`
+    gives, from a solve that builds no eigenvectors. The rotations of each
+    matrix never read its vectors, so its scale, tolerance, cap, sweeps and
+    ConvergenceError are those of `eigh_many`.
+    """
+    if not ms:
+        return np.zeros((0, 0))
+    return np.sort(_solved_diagonals(ms, None), axis=1, kind="stable")
+
+
+def _solved_diagonals(ms: Sequence[SymmetricMatrix], vec: np.ndarray | None) -> np.ndarray:
+    """The diagonals (k, n), in index order, that the two-sided kernel leaves
+    of the matrices, each solved at its own power-of-two scale to tolerance
+    1e-13 * ||M||_F, its rotations accumulated into `vec` unless it is None;
+    raises ConvergenceError if any matrix misses it."""
+    if any(m.dim != ms[0].dim for m in ms):
         raise ValueError("all matrices must have the same dimension")
     a, e = _scaled(np.array([m.entries for m in ms], dtype=float))
-    vec = np.repeat(np.eye(n)[None], len(ms), axis=0)
     fro = np.sqrt(np.sum(a * a, axis=(1, 2)))
+    # positional: the kernel-call counters read the stack as the first argument
     _, off = jacobi_sweeps(a, vec, JACOBI_TOL * fro, MAX_SWEEPS)
     _require_converged(off, fro)
-    return decompositions(np.ldexp(np.diagonal(a, axis1=1, axis2=2), e[:, None]), vec)
+    return np.ldexp(np.diagonal(a, axis1=1, axis2=2), e[:, None])
 
 
 def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -306,13 +326,24 @@ def shift_set(s: IntervalSet, t: float) -> IntervalSet:
 
 
 def set_distance(s1: IntervalSet, s2: IntervalSet) -> float:
-    """Distance between two nonempty closed sets; 0 when they overlap."""
+    """Distance between two nonempty closed sets; 0 when they overlap.
+
+    One merge of the two sorted lists, retiring whichever current interval
+    ends first, meets every overlapping or touching pair and each interval's
+    nearest neighbour in the other set, in index order, so it returns the
+    bits that the least over all pairs would."""
     s1._require_nonempty()
     s2._require_nonempty()
+    a, b = s1.intervals, s2.intervals
     best = math.inf
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            best = min(best, max(lo2 - hi1, lo1 - hi2, 0.0))
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (lo1, hi1), (lo2, hi2) = a[i], b[j]
+        best = min(best, max(lo2 - hi1, lo1 - hi2, 0.0))
+        if hi1 < hi2:
+            i += 1
+        else:
+            j += 1
     return best
 
 

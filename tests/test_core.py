@@ -1,6 +1,8 @@
 """Core linear algebra: the symmetric container, the eigensolver against an
 independent oracle, interval-set arithmetic, and spectral projectors."""
 
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -176,11 +178,20 @@ class TestJacobiKernel:
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 16, 48, 64])
     def test_off_norm_matches_the_masked_sum(self, n, k, scale):
-        # the strided view must add the squares as the boolean-mask gather of
-        # the off-diagonal entries does, to the last bit
+        # the strided view must add each matrix's squares as the sum of its
+        # own boolean-mask gather of the off-diagonal entries does, to the
+        # last bit, whatever the stack size
         a = scale * PortableRng(1000 * n + k).gaussians(k * n * n).reshape(k, n, n)
-        masked = np.sqrt(np.sum(np.square(a[:, ~np.eye(n, dtype=bool)]), axis=1))
+        off = ~np.eye(n, dtype=bool)
+        masked = [np.sqrt(np.sum(np.square(m[off]))) for m in a]
         assert np.array_equal(_jacobi._off_norm(a), masked)
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 16, 24, 48])
+    def test_off_norm_is_the_same_alone_or_in_a_stack(self, n):
+        a = PortableRng(n).gaussians(6 * n * n).reshape(6, n, n)
+        stacked = _jacobi._off_norm(a)
+        for i in range(6):
+            assert _jacobi._off_norm(a[i : i + 1])[0] == stacked[i]
 
     def test_zero_row_beside_orthogonal_rows_needs_no_sweep(self):
         b = np.zeros((1, 3, 4))
@@ -244,6 +255,56 @@ class TestEighMany:
         m = SymmetricMatrix([[0.0, 1e-20], [1e-20, 0.0]])
         values = eigh(m).eigenvalues
         assert values.tolist() == pytest.approx([-1e-20, 1e-20], rel=1e-13, abs=0.0)
+
+
+class TestEigvalshMany:
+    @staticmethod
+    def stack(n):
+        basis = PortableRng(900 + n).haar_orthogonal(n)
+        repeated = np.repeat([-1.0, 2.0, 2.0, 5.0], n)[:n]
+        return [
+            random_symmetric(n, 910 + n),
+            random_psd(n, 920 + n).scaled(2.0**80),
+            random_symmetric(n, 930 + n).scaled(2.0**-80),
+            SymmetricMatrix(np.zeros((n, n))),
+            SymmetricMatrix((basis * repeated) @ basis.T),
+            SymmetricMatrix.diagonal(repeated),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 24])
+    def test_eigenvalues_of_eigh_many_bit_for_bit(self, n):
+        # from n = 16 the kernel takes all-pairs steps; bytes also tell -0.0
+        # from 0.0
+        ms = self.stack(n)
+        stacked = core.eigvalsh_many(ms)
+        assert stacked.shape == (len(ms), n)
+        for i, (m, dec) in enumerate(zip(ms, eigh_many(ms), strict=True)):
+            assert stacked[i].tobytes() == dec.eigenvalues.tobytes()
+            assert core.eigvalsh_many([m])[0].tobytes() == dec.eigenvalues.tobytes()
+
+    def test_the_kernel_carries_no_vectors(self, monkeypatch):
+        seen = []
+        kernel = core.jacobi_sweeps
+
+        def spy(a, vec, *args):
+            seen.append(vec)
+            return kernel(a, vec, *args)
+
+        monkeypatch.setattr(core, "jacobi_sweeps", spy)
+        core.eigvalsh_many(self.stack(7))
+        assert seen == [None]
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SWEEPS", 0)
+        diagonal = SymmetricMatrix.diagonal([2.0, 1.0])
+        assert core.eigvalsh_many([diagonal]).tolist() == [[1.0, 2.0]]
+        with pytest.raises(ConvergenceError):
+            core.eigvalsh_many([diagonal, random_symmetric(2, 3)])
+
+    def test_empty_and_mismatched(self):
+        assert core.eigvalsh_many([]).shape == (0, 0)
+        with pytest.raises(ValueError):
+            core.eigvalsh_many([SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(3))])
 
 
 class TestSingularValuesMany:
@@ -525,6 +586,54 @@ class TestSetOperations:
         after = set_distance(shift_set(s1, t), s2)
         assert after <= before + 1e-12
         assert after >= before - t - 1e-12
+
+
+def loop_distance(s1, s2):
+    """set_distance as a double loop over all pairs of intervals."""
+    best = math.inf
+    for lo1, hi1 in s1.intervals:
+        for lo2, hi2 in s2.intervals:
+            best = min(best, max(lo2 - hi1, lo1 - hi2, 0.0))
+    return best
+
+
+class TestSetDistanceMerge:
+    def random_set(self, rng, count, width):
+        lo = rng.uniforms(count) * 40.0 - 20.0
+        return IntervalSet(tuple(zip(lo, lo + width * rng.uniforms(count))))
+
+    @pytest.mark.parametrize("width", [0.0, 0.3, 3.0])
+    def test_matches_the_loop_bit_for_bit(self, width):
+        rng = PortableRng(77)
+        for _ in range(300):
+            counts = 1 + (rng.uniforms(2) * 12).astype(int)
+            s1, s2 = (self.random_set(rng, c, width) for c in counts)
+            for a, b in ((s1, s2), (s2, s1)):
+                expected = loop_distance(a, b)
+                assert struct.pack("<d", set_distance(a, b)) == struct.pack("<d", expected)
+
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [
+            (((0.0, 1.0), (3.0, 4.0)), ((1.0, 2.0),)),  # touching
+            (((0.0, 1.0), (5.0, 6.0)), ((0.5, 5.5),)),  # one spans a gap
+            (((0.0, 0.0), (2.0, 2.0)), ((1.0, 1.0), (2.0, 3.0))),  # points
+            (((0.0, 10.0),), ((2.0, 3.0), (4.0, 5.0))),  # nested
+            (((-2.0, -1.0), (7.0, 8.0)), ((1.5, 2.0), (3.0, 6.5), (9.0, 9.5))),
+            (((-1.0, 0.0),), ((-0.0, 1.0), (-3.0, -2.0))),  # a distance of -0.0
+        ],
+    )
+    def test_touching_overlapping_and_nested(self, s1, s2):
+        a, b = IntervalSet(s1), IntervalSet(s2)
+        for x, y in ((a, b), (b, a)):
+            got, expected = set_distance(x, y), loop_distance(x, y)
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    def test_empty_set_raises(self):
+        empty, one = IntervalSet(()), IntervalSet(((0.0, 1.0),))
+        for a, b in ((empty, one), (one, empty)):
+            with pytest.raises(ValueError, match="empty"):
+                set_distance(a, b)
 
 
 class TestProjectors:

@@ -16,6 +16,7 @@ from specangles import (
     angle_reports,
     block_split,
     eigh,
+    eigh_many,
     psd_block_bounds,
 )
 from conftest import random_psd
@@ -245,6 +246,25 @@ class TestPsdBlockBounds:
             got = psd_block_bounds(v, q)
             scale = 1.0 + expected[1]
             assert np.abs(np.subtract(got, expected)).max() <= 1e-12 * scale
+
+    def test_criterion_09_draws_keep_the_bits_of_full_decompositions(self):
+        # the eigenvalues-only solve against the norms of eigh_many's
+        # decompositions of the same three matrices
+        for trial in range(1000):
+            n = 2 + trial % 9
+            rng = PortableRng(7000 + trial)
+            g = rng.gaussians(n * n).reshape(n, n)
+            v = SymmetricMatrix(g @ g.T)
+            cols = rng.haar_orthogonal(n)[:, : 1 + trial % (n - 1)]
+            q = Projector(SymmetricMatrix(cols @ cols.T), rank=cols.shape[1])
+            k = 2.0 * q.matrix.entries - np.eye(n)
+            kvk = k @ v.entries @ k
+            dec_v, dec_off, dec_diag = eigh_many(
+                [v, SymmetricMatrix(v.entries - kvk), SymmetricMatrix(v.entries + kvk)]
+            )
+            expected = (dec_off.norm, dec_v.norm, dec_diag.norm)
+            got = psd_block_bounds(v, q)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_one_kernel_call_per_triple(self, kernel_calls):
         v = random_psd(6, 61)
