@@ -16,6 +16,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import (
@@ -161,7 +162,7 @@ class CampaignConfig:
         }
         if tol is not None:
             tolerances["default"] = checked_tol(tol, "the default tolerance")
-        return cls(
+        config = cls(
             trials=trials,
             ns=ns,
             plans=plans,
@@ -169,10 +170,30 @@ class CampaignConfig:
             seeds=seeds,
             tolerances=tolerances,
         )
+        # refuse a size a plan's generator cannot build before any trial runs
+        # (sharpness ignores n; _plan_for gives it the convex plan, which fits)
+        for name, n in dict.fromkeys((name, n) for _, name, n, _ in config.schedule):
+            try:
+                _plan_for(name, n)
+            except ValueError as err:
+                raise ConfigError(f"n = {n} does not fit plan {name!r}: {err}") from None
+        return config
 
     @classmethod
     def from_json_file(cls, path: str, **overrides) -> "CampaignConfig":
         return cls.from_dict(read_config(path), **overrides)
+
+    @cached_property
+    def schedule(self) -> list[tuple[int, str, int, float]]:
+        """(seed, plan, n, v_ratio) of each trial, in ascending seed order:
+        plans cycle fastest over trials, then v_ratios, then n."""
+        pending = []
+        for k in range(self.trials):
+            block = k // len(self.plans)
+            v_ratio = self.v_ratios[block % len(self.v_ratios)]
+            n = self.ns[(block // len(self.v_ratios)) % len(self.ns)]
+            pending.append((self.seeds[k], self.plans[k % len(self.plans)], n, v_ratio))
+        return sorted(pending, key=lambda item: item[0])
 
     def tol_for(self, bound_name: str) -> float:
         return self.tolerances.get(
@@ -311,16 +332,7 @@ def _measure_trial(
 
 def run_campaign(config: CampaignConfig) -> Iterator[TrialReport]:
     """Run every trial and yield reports in ascending seed order."""
-    pending = []
-    for k in range(config.trials):
-        seed = config.seeds[k]
-        name = config.plans[k % len(config.plans)]
-        block = k // len(config.plans)
-        v_ratio = config.v_ratios[block % len(config.v_ratios)]
-        n = config.ns[(block // len(config.v_ratios)) % len(config.ns)]
-        pending.append((seed, name, n, v_ratio))
-    pending.sort(key=lambda item: item[0])
-    for seed, name, n, v_ratio in pending:
+    for seed, name, n, v_ratio in config.schedule:
         yield _measure_trial(config, name, n, v_ratio, seed)
 
 

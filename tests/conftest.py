@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,14 +39,40 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-# The BLAS/LAPACK build that pinned digests were taken under: haar_orthogonal
-# calls LAPACK's QR and matrix products go through BLAS, so pinned bytes hold
-# for this build only.
+# The BLAS/LAPACK build and the OpenBLAS kernel set ("core") that pinned
+# digests were taken under: haar_orthogonal calls LAPACK's QR and matrix
+# products go through BLAS, whose summation order differs from core to core
+# of one DYNAMIC_ARCH build, so pinned bytes hold for this build and core only.
 PINNED_BUILD = ("scipy-openblas", "0.3.31.188.0")
+PINNED_CORE = "SkylakeX"
+
+
+def read_openblas_core() -> str | None:
+    """The core numpy's bundled OpenBLAS runs on, as its
+    `scipy_openblas_get_corename64_` names it (`OPENBLAS_CORETYPE` overrides
+    the one it detects), or None where no such library can be read."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 @pytest.fixture
-def pinned_build():
+def openblas_core():
+    """The running OpenBLAS core; skip, with the reason, where none can be read."""
+    core = read_openblas_core()
+    if core is None:
+        pytest.skip("no OpenBLAS core name can be read from numpy's bundled library")
+    return core
+
+
+@pytest.fixture
+def pinned_build_any_core():
     """Skip, with the reason, under any BLAS/LAPACK build but PINNED_BUILD."""
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
@@ -53,3 +82,12 @@ def pinned_build():
     found = {(lib.get("name"), lib.get("version")) for lib in libs}
     if found != {PINNED_BUILD}:
         pytest.skip(f"digest pinned under BLAS/LAPACK {PINNED_BUILD}, not {found}")
+
+
+@pytest.fixture
+def pinned_build(pinned_build_any_core):
+    """Skip, with the reason, under any BLAS/LAPACK build but PINNED_BUILD or
+    on any OpenBLAS core but PINNED_CORE."""
+    core = read_openblas_core()
+    if core != PINNED_CORE:
+        pytest.skip(f"digest pinned on OpenBLAS core {PINNED_CORE}, not {core}")

@@ -1,31 +1,42 @@
-"""The BENCH driver's arithmetic on synthetic runs, and its refusal of seed
-ranges it cannot summarize: tools/bench_pairs.py loaded by path, with no
-benchmark run started."""
+"""The BENCH driver: its arithmetic on synthetic runs, its refusal of seed
+ranges it cannot summarize, the file it writes from stubbed runs, and its
+in-process A/B on a few operations with this checkout on both sides.
+tools/bench_pairs.py is loaded by path; no benchmark process is started."""
 
 import importlib.util
+import json
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
 
 SPEC = [
-    {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
-    {"name": "op_p50_ms", "unit": "ms", "better": "lower"},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
 ]
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 PARENT_OPS = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]
 
 
 @pytest.fixture
 def bench_pairs(monkeypatch):
-    """tools/bench_pairs.py as a module, without writing bytecode beside it."""
+    """tools/bench_pairs.py as a module, without writing bytecode beside it;
+    the modules and import path it adds are dropped afterwards."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [*sys.path])
+    before = set(sys.modules)
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    yield module
+    for name in set(sys.modules) - before:
+        del sys.modules[name]
 
 
 def runs_of(parent, change, name="ops_per_s"):
@@ -60,6 +71,20 @@ def test_summarize_honours_better_lower(bench_pairs):
     entry = summary(bench_pairs, [5.0, 5.0, 5.0, 5.0], [4.0, 5.0, 6.0, 4.0], "op_p50_ms")
     assert entry["unit"] == "ms"
     assert entry["change_better_in_pairs"] == 2
+
+
+@pytest.mark.parametrize(
+    "name, parent, at_bound, past_bound",
+    [("ops_per_s", 8.0, 6.0, 5.99), ("op_p50_ms", 4.0, 5.0, 5.01)],
+)
+def test_within_bound_holds_at_the_bound_and_fails_past_it(
+    bench_pairs, name, parent, at_bound, past_bound
+):
+    # a 25% bound: 8 -> 6 ops/s and 4 -> 5 ms are exactly at it
+    for change, within in ((parent, True), (at_bound, True), (past_bound, False)):
+        entry = summary(bench_pairs, [parent] * 4, [change] * 4, name)
+        assert entry["bound"] == 0.25
+        assert entry["within_bound"] is within, change
 
 
 def test_claim_met_at_nine_of_ten_beyond_the_parent_iqr(bench_pairs):
@@ -108,3 +133,92 @@ def test_bad_seed_ranges_exit_2_before_any_run(bench_pairs, monkeypatch, tmp_pat
         bench_pairs.main(argv + ["--out", str(out)])
     assert exited.value.code == 2
     assert not out.exists()
+
+
+def test_help_lists_the_seven_options(bench_pairs, capsys):
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(["--help"])
+    assert exited.value.code == 0
+    options = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    assert options == {
+        "--parent", "--change", "--seeds", "--seconds", "--workloads", "--claim", "--out"
+    }
+
+
+def stub_run(checkout, workload, seed, seconds):
+    """A synthetic `run_once` result: the sides' warm-up digests differ on
+    seed 2 only, and the change fails one operation on seed 3."""
+    side = checkout.name
+    return {
+        "environment": {"python": "3", "git_commit": None, "source_sha256": side},
+        "detail": {"warm_up_digest": f"{workload}-{seed}" + ("-" + side) * (seed == 2)},
+        "correct": True,
+        "attempted": 100,
+        "failed": int(seed == 3 and side == "change"),
+        "metrics": {m["name"]: {"value": 1.0 + seed, "unit": m["unit"]} for m in END_TO_END},
+    }
+
+
+def stubbed_main(bench_pairs, monkeypatch, tmp_path, run_once):
+    """main on stubbed runs and A/B, seeds 1-3, with this checkout on both
+    sides under the names parent and change: (exit code, written file)."""
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(
+        bench_pairs, "in_process_ab", lambda sides, workloads, name, seeds: {"stub": name}
+    )
+    for side in ("parent", "change"):
+        (tmp_path / side).symlink_to(ROOT, target_is_directory=True)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"kept": 1}))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    argv += ["--seeds", "1-3"]
+    code = bench_pairs.main([*argv, "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_each_run_keeps_its_warm_up_digest(bench_pairs, monkeypatch, tmp_path):
+    code, found = stubbed_main(bench_pairs, monkeypatch, tmp_path, stub_run)
+    assert code == 0
+    assert found["kept"] == 1
+    for name in ("campaign-large-n", "block-lemma"):
+        entry = found["workloads"][name]
+        assert entry["warm_up_digests_agree"] == [True, False, True]
+        assert entry["warm_up_digests"]["parent"][1] == f"{name}-2-parent"
+        assert entry["failed_share"] == {"parent": 0.0, "change": 1 / 300}
+        assert {m["name"] for m in END_TO_END} == set(entry["metrics"])
+        assert all(m["within_bound"] for m in entry["metrics"].values())
+        assert found["in_process_ab"][name] == {"stub": name}
+
+
+def test_a_failed_run_keeps_the_workloads_before_it(bench_pairs, monkeypatch, tmp_path, capsys):
+    def fail_on_block_lemma(checkout, workload, seed, seconds):
+        if workload == "block-lemma" and seed == 2:
+            raise subprocess.CalledProcessError(
+                3, "cd x && python3 perfbench/run.py", stderr="first line\nboom at the end\n"
+            )
+        return stub_run(checkout, workload, seed, seconds)
+
+    code, found = stubbed_main(bench_pairs, monkeypatch, tmp_path, fail_on_block_lemma)
+    assert code == 1
+    assert found["kept"] == 1
+    assert list(found["workloads"]) == ["campaign-large-n"]
+    assert list(found["in_process_ab"]) == ["campaign-large-n"]
+    err = capsys.readouterr().err
+    assert "`cd x && python3 perfbench/run.py` exited 3" in err
+    assert err.rstrip().endswith("boom at the end")
+
+
+def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
+    load = bench_pairs.load
+    load(ROOT / "perfbench" / "oracle.py", "oracle")
+    workloads = load(ROOT / "perfbench" / "workloads.py", "bench_workloads")
+    sides = {
+        side: load(ROOT / "src" / "specangles", f"specangles_{side}")
+        for side in ("parent", "change")
+    }
+    for name in ("campaign-large-n", "block-lemma"):
+        section = bench_pairs.in_process_ab(sides, workloads, name, [1, 2], ops=3)
+        assert section["same_outputs_every_operation"] is True, name
+        assert section["ops_per_round"] == 3
+        assert len(section["change_over_parent_per_round"]) == 2
+        assert [len(section["cpu_ms_per_op"][side]) for side in ("parent", "change")] == [2, 2]

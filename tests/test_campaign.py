@@ -166,6 +166,39 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             CampaignConfig.from_json_file(str(path))
 
+    def test_sizes_a_plan_cannot_build_are_refused_at_parse(self):
+        raw = {"trials": 6, "n": [8, 3], "plans": ["doubly-interleaved"]}
+        with pytest.raises(ConfigError, match=r"n = 3 does not fit plan 'doubly-interleaved'"):
+            CampaignConfig.from_dict(raw)
+        # only the sizes the trial schedule reaches are checked
+        assert [n for _, _, n, _ in CampaignConfig.from_dict(raw, trials=1).schedule] == [8]
+        mixed = {"trials": 4, "n": 3, "plans": ["convex-separated", "sharpness", "rank-one"]}
+        assert CampaignConfig.from_dict(mixed).trials == 4
+
+    def test_verify_refuses_such_a_config_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        from specangles.cli import main
+
+        ran = []
+        monkeypatch.setattr(campaign, "_measure_trial", lambda *args: ran.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text('{"trials": 6, "n": [8, 3], "plans": ["doubly-interleaved"]}')
+        assert main(["verify", str(path)]) == 2
+        assert "error: n = 3 does not fit plan 'doubly-interleaved'" in capsys.readouterr().err
+        assert ran == []
+
+    def test_schedule_cycles_plans_then_v_ratios_then_n_in_seed_order(self):
+        cfg = CampaignConfig.from_dict(
+            {"trials": 5, "n": [4, 6], "plans": ["rank-one", "convex-separated"],
+             "v_ratios": [0.1, 0.2], "seeds": [9, 3, 7, 1, 5]}
+        )
+        assert cfg.schedule == [
+            (1, "convex-separated", 4, 0.2),
+            (3, "convex-separated", 4, 0.1),
+            (5, "rank-one", 6, 0.1),
+            (7, "rank-one", 4, 0.2),
+            (9, "rank-one", 4, 0.1),
+        ]
+
 
 @pytest.fixture(scope="module")
 def reports():

@@ -393,6 +393,30 @@ class TestVerify:
         assert outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_verdicts_and_bound_values_hold_across_blas_cores(self, openblas_core):
+        # bytes hold within one (build, core); on another OpenBLAS core of the
+        # same build rows move in the last bits only. 150 trials reach n = 32.
+        config = Path(__file__).resolve().parents[1] / "configs" / "verify500.json"
+        src = str(Path(specangles.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in ("TOOLKIT_TOL", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "specangles", "verify", str(config), "--trials", "150"]
+        outputs = []
+        for core in ({}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            done = subprocess.run(
+                [*argv, "--format", "json"], env={**env, **core}, capture_output=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append([json.loads(line) for line in done.stdout.splitlines()])
+        default, haswell = outputs
+        assert len(default) == len(haswell)
+        assert any("-n32-" in row["instance_id"] for row in default)
+        exact = ("instance_id", "bound_name", "t", "bound_value", "pass")
+        for one, other in zip(default, haswell):
+            assert [one[k] for k in exact] == [other[k] for k in exact]
+            assert abs(one["theta"] - other["theta"]) <= 1e-12
+            assert abs(one["margin"] - other["margin"]) <= 1e-12
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -451,9 +475,16 @@ PINNED_OUTPUTS = {
 }
 
 
+# Cases whose digests also hold on one OpenBLAS core only: the verify rows'
+# full-precision floats come from n x n BLAS products, whose summation order
+# differs between cores. Under OPENBLAS_CORETYPE=Haswell only these two move.
+CORE_PINNED = {("verify", "json"), ("verify", "csv")}
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
-    def test_stdout_and_out_file_keep_their_bytes(self, capsys, tmp_path, pinned_build, case):
+    def test_stdout_and_out_file_keep_their_bytes(self, capsys, tmp_path, request, case):
+        request.getfixturevalue("pinned_build" if case in CORE_PINNED else "pinned_build_any_core")
         command, fmt = case
         argv = [command.removesuffix("-failing"), *PINNED_ARGS[command], "--format", fmt]
         if command == "verify":

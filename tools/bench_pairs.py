@@ -1,32 +1,45 @@
-"""Alternated parent/change pairs of the benchmark, written as a BENCH file.
-
-Export the two trees to compare, then run pairs of `perfbench/run.py` on
-them, one parent run and one change run per seed and workload, the parent
-first on odd seeds and the change first on even ones:
+"""Alternated parent/change pairs of the benchmark and an in-process A/B of
+each workload, written as a BENCH file:
 
     git archive PARENT_REV | tar -x -C /tmp/parent
     git archive HEAD | tar -x -C /tmp/change     # or a copy of the worktree
     python3 tools/bench_pairs.py --parent /tmp/parent --change /tmp/change \\
         --seeds 1611-1620 --claim campaign-large-n:ops_per_s --out BENCH_x.json
 
-Every run is `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`, started in the checkout it measures. The end-to-end metrics, and
-which way each is better, come from the change checkout's BENCHMARK.json.
-The file gets the keys `environment`, `parent`, `change`, `method`, `claim`
-(given `--claim`) and `workloads`; an existing file keeps its other keys, so
-hand-measured sections (an in-process A/B, a traced run) stay.
+Per workload, first the pairs: per seed, one run of `python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0` in each checkout, the parent first
+on odd seeds. Then the A/B: both checkouts' `src/specangles` are imported into
+this process under two names; per seed, round 0 of the workload (inputs from
+the change checkout's `perfbench/workloads.py`, rebuilt with each side's
+classes) runs once a side to warm up, then each operation is timed with
+`time.process_time` on both sides in turn, the first side swapped each
+operation, and the outputs are compared. Host drift then reaches both sides
+alike, where processes run minutes apart can differ by 2x.
+
+The end-to-end metrics, their better direction and bound come from the change
+checkout's BENCHMARK.json. The file gets the keys `environment`, `parent`,
+`change`, `method`, `claim` (given `--claim`), `workloads` and `in_process_ab`,
+and keeps its other keys. It is written after each workload, so a failed run
+(reported with its command, exit code and stderr; exit 1) keeps those before.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import re
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
 
 
 def parse_args(argv):
@@ -50,13 +63,15 @@ def parse_args(argv):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its environment block and result, from the last
-    two lines of standard output."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
+    """One benchmark run; its environment and detail block and its result,
+    from the last two lines of standard output."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        raise subprocess.CalledProcessError(
+            done.returncode, f"cd {checkout} && {shlex.join(command)}", stderr=done.stderr
+        )
     head, result = done.stdout.strip().splitlines()[-2:]
     return {**json.loads(head), **json.loads(result)}
 
@@ -67,8 +82,10 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: dict, spec: list[dict]) -> dict:
-    """Per metric, each side's quartiles and runs, the ratio of medians and
-    the pairs in which the change reads better."""
+    """Per metric, each side's quartiles and runs, the ratio of medians, the
+    pairs in which the change reads better, and whether the change's median
+    is within the metric's relative bound of the parent's in its worse
+    direction."""
     metrics = {}
     for metric in spec:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -79,10 +96,15 @@ def summarize(runs: dict, spec: list[dict]) -> dict:
         entry = {"unit": metric["unit"]}
         for side, values in sides.items():
             entry[side] = {**quartiles(values), "runs": [round(v, 4) for v in values]}
-        entry["change_over_parent_median"] = round(
-            entry["change"]["median"] / entry["parent"]["median"], 4
-        )
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        entry["change_over_parent_median"] = round(change / parent, 4)
         entry["change_better_in_pairs"] = better
+        entry["bound"] = metric["bound"]
+        entry["within_bound"] = (
+            change >= parent * (1.0 - metric["bound"])
+            if higher
+            else change <= parent * (1.0 + metric["bound"])
+        )
         metrics[name] = entry
     return metrics
 
@@ -109,56 +131,152 @@ def claim(workloads: dict, target: str, spec: list[dict]) -> dict:
     }
 
 
+def pairs(checkouts: dict, workload: str, seeds: list[int], seconds: float, spec) -> tuple:
+    """The workload's entry, its alternated runs per seed summarized, and
+    each side's environment block."""
+    runs = {side: [] for side in SIDES}
+    order = {}
+    for seed in seeds:
+        sides = SIDES if seed % 2 else SIDES[::-1]
+        order[str(seed)] = sides[0]
+        for side in sides:
+            found = run_once(checkouts[side], workload, seed, seconds)
+            runs[side].append(found)
+            print(f"{workload} seed {seed} {side}: ops_per_s "
+                  f"{found['metrics']['ops_per_s']['value']:.3f}", file=sys.stderr)
+    count = {key: {side: sum(r[key] for r in runs[side]) for side in SIDES}
+             for key in ("attempted", "failed")}
+    digests = {side: [r["detail"]["warm_up_digest"] for r in runs[side]] for side in SIDES}
+    return {
+        "seeds": seeds,
+        "first_in_pair": order,
+        **count,
+        "failed_share": {side: count["failed"][side] / max(count["attempted"][side], 1)
+                         for side in SIDES},
+        "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+        "warm_up_digests": digests,
+        "warm_up_digests_agree": [p == c for p, c in zip(*digests.values())],
+        "metrics": summarize(runs, spec),
+    }, {side: runs[side][-1]["environment"] for side in SIDES}
+
+
+def load(path: Path, name: str):
+    """The module at `path`, or the package whose directory it is, imported
+    as `name` without writing bytecode beside it."""
+    sys.dont_write_bytecode = True
+    package = path.is_dir()
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None,
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def round_of(pkg, workloads, name: str, seed: int, ops: int | None) -> tuple[list, object]:
+    """The first `ops` operations (default: all) of round 0 of workload `name`
+    for benchmark seed `seed`, rebuilt with the classes of package `pkg`, and
+    the function that gives an operation's output as the bytes compared."""
+    workload = workloads.make(name, seed)
+    if workload.campaign:
+        c = workload.config(0)
+        trials = pkg.run_campaign(pkg.CampaignConfig.from_dict({
+            "trials": c.trials, "n": list(c.ns), "plans": list(c.plans),
+            "v_ratios": list(c.v_ratios), "seeds": list(c.seeds), "tolerances": c.tolerances,
+        }))
+        return [lambda: next(trials)] * (ops or c.trials), lambda r: pkg.rows_jsonl([r]).encode()
+    draws = (workloads.block_draw(i, workload.seed_base)
+             for i in range(ops or workloads.BLOCK_DRAWS))
+    rebuilt = [(pkg.SymmetricMatrix(v.entries),
+                pkg.Projector(pkg.SymmetricMatrix(q.matrix.entries), rank=q.rank))
+               for v, q in draws]
+    return ([lambda v=v, q=q: pkg.psd_block_bounds(v, q) for v, q in rebuilt],
+            lambda triple: np.asarray(triple).tobytes())
+
+
+def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None) -> dict:
+    """CPU milliseconds per operation on each side, one round per seed, and
+    whether both sides gave the same output bytes on every operation."""
+    ms = {side: [] for side in SIDES}
+    ratios, same = [], True
+    for seed in seeds:
+        for pkg in sides.values():  # warm pass
+            for run in round_of(pkg, workloads, name, seed, ops)[0]:
+                run()
+        work = {side: round_of(pkg, workloads, name, seed, ops) for side, pkg in sides.items()}
+        spent = dict.fromkeys(SIDES, 0.0)
+        count = len(work["parent"][0])
+        for i in range(count):
+            outputs = {}
+            for side in SIDES if i % 2 else SIDES[::-1]:
+                run, encode = work[side][0][i], work[side][1]
+                start = time.process_time()
+                found = run()
+                spent[side] += time.process_time() - start
+                outputs[side] = encode(found)
+            same = same and outputs["parent"] == outputs["change"]
+        for side in SIDES:
+            ms[side].append(round(1e3 * spent[side] / count, 4))
+        ratios.append(round(spent["change"] / spent["parent"], 4))
+        print(f"{name} A/B seed {seed}: parent {ms['parent'][-1]} ms/op, change "
+              f"{ms['change'][-1]} ms/op, ratio {ratios[-1]}", file=sys.stderr)
+    return {
+        "seeds": seeds,
+        "ops_per_round": count,
+        "cpu_ms_per_op": ms,
+        "change_over_parent_per_round": ratios,
+        "change_over_parent_median": statistics.median(ratios),
+        "change_slower_in": f"{sum(x > 1.0 for x in ratios)} of {len(ratios)} rounds",
+        "same_outputs_every_operation": same,
+    }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
-    seeds = args.seeds
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     spec = bench["end_to_end"]
     names = args.workloads or [w["name"] for w in bench["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
-    workloads, envs = {}, {}
-    for workload in names:
-        runs = {"parent": [], "change": []}
-        order = {}
-        for seed in seeds:
-            sides = ("parent", "change") if seed % 2 else ("change", "parent")
-            order[str(seed)] = sides[0]
-            for side in sides:
-                found = run_once(checkouts[side], workload, seed, args.seconds)
-                envs[side] = found["environment"]
-                runs[side].append(found)
-                print(f"{workload} seed {seed} {side}: ops_per_s "
-                      f"{found['metrics']['ops_per_s']['value']:.3f}", file=sys.stderr)
-        workloads[workload] = {
-            "seeds": seeds,
-            "first_in_pair": order,
-            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
-            "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
-            "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
-            "metrics": summarize(runs, spec),
-        }
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    env = {k: v for k, v in envs["change"].items() if k not in ("git_commit", "source_sha256")}
-    out["environment"] = {**out.get("environment", {}), **env}
-    for side in checkouts:
-        # an exported checkout has no git metadata; keep a commit noted by hand
-        known = out.get(side, {})
-        out[side] = {
-            **known,
-            "git_commit": envs[side]["git_commit"] or known.get("git_commit"),
-            "source_sha256": envs[side]["source_sha256"],
-        }
     out["method"] = (
-        f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
-        f"for workloads {', '.join(names)}, seeds {seeds[0]}-{seeds[-1]}, one parent and one "
-        "change run per seed and workload, parent first on odd seeds and change first on even "
-        "seeds, each side run from its own exported checkout by tools/bench_pairs.py; quartiles "
-        "are inclusive; change_better_in_pairs counts pairs where the change reads better"
+        f"tools/bench_pairs.py --seeds {args.seeds[0]}-{args.seeds[-1]} --seconds "
+        f"{args.seconds:g} on {', '.join(names)}; quartiles are inclusive; "
+        "change_better_in_pairs counts pairs where the change reads better; within_bound "
+        "holds where the change's median is no worse than the parent's by its relative bound"
     )
-    if args.claim:
-        out["claim"] = claim(workloads, args.claim, spec)
-    out["workloads"] = {**out.get("workloads", {}), **workloads}
-    args.out.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n")
+    sys.path[:0] = [str(args.change / "src")]  # the `specangles` perfbench/workloads.py imports
+    load(args.change / "perfbench" / "oracle.py", "oracle")
+    workloads = load(args.change / "perfbench" / "workloads.py", "bench_workloads")
+    sides = {side: load(checkouts[side] / "src" / "specangles", f"specangles_{side}")
+             for side in SIDES}
+    done = {}
+    for name in names:
+        try:
+            entry, envs = pairs(checkouts, name, args.seeds, args.seconds, spec)
+        except subprocess.CalledProcessError as err:
+            tail = "\n".join((err.stderr or "").strip().splitlines()[-20:])
+            print(f"bench_pairs: `{err.cmd}` exited {err.returncode}; {args.out} keeps the "
+                  f"workloads before {name}. Its stderr ends:\n{tail}", file=sys.stderr)
+            return 1
+        done[name] = entry
+        out["workloads"] = {**out.get("workloads", {}), name: entry}
+        section = in_process_ab(sides, workloads, name, args.seeds)
+        out["in_process_ab"] = {**out.get("in_process_ab", {}), name: section}
+        env = {k: v for k, v in envs["change"].items() if k not in ("git_commit", "source_sha256")}
+        out["environment"] = {**out.get("environment", {}), **env}
+        for side in SIDES:
+            # an exported checkout has no git metadata; keep a commit noted by hand
+            known = out.get(side, {})
+            out[side] = {
+                **known,
+                "git_commit": envs[side]["git_commit"] or known.get("git_commit"),
+                "source_sha256": envs[side]["source_sha256"],
+            }
+        if args.claim and args.claim.split(":")[0] in done:
+            out["claim"] = claim(done, args.claim, spec)
+        args.out.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n")
     return 0
 
 
