@@ -50,6 +50,7 @@ each matrix sums as one contiguous row.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,14 +232,13 @@ def _all_pairs_step(a, vec=None):
     return (a,) if vec is None else (a, vec @ q)
 
 
-class Counts(tuple):
-    """(sweeps, off) per matrix, as both kernels return them, with the
-    all-pairs steps per matrix beside them as `steps`."""
+class Counts(NamedTuple):
+    """Per matrix, as both kernels return them: the sweeps done, the final
+    off and the all-pairs steps done."""
 
-    def __new__(cls, sweeps, off, steps):
-        counts = super().__new__(cls, (sweeps, off))
-        counts.steps = steps
-        return counts
+    sweeps: np.ndarray
+    off: np.ndarray
+    steps: np.ndarray
 
 
 def _staged(stacks, one_sweep, one_step, off_of, tol, start, max_sweeps):
@@ -246,7 +246,7 @@ def _staged(stacks, one_sweep, one_step, off_of, tol, start, max_sweeps):
     from n = STEP_MIN_N rows, sweeps until off is at most the larger of
     `tol` and `start(stacks[0])`, then all-pairs steps, then sweeps to `tol`;
     below it, sweeps alone. Sweeps and steps together stop at `max_sweeps`.
-    Returns Counts(sweeps, off) with the steps per matrix as `.steps`."""
+    Returns the stack's Counts."""
     if stacks[0].shape[1] < STEP_MIN_N:
         sweeps, off = _sweep(stacks, one_sweep, off_of, tol, max_sweeps)
         return Counts(sweeps, off, np.zeros(sweeps.shape, dtype=np.int64))
@@ -269,8 +269,7 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
     accumulating its rotations into the matching slice of `vec` unless `vec`
     is None, until its off-diagonal norm is at most its own `tol[i]`, in the
     stages of the module docstring; sweeps and steps together stop at
-    `max_sweeps`. Returns Counts(sweeps, off) with the steps per matrix as
-    `.steps`."""
+    `max_sweeps`. Returns the stack's Counts."""
     stacks = (a,) if vec is None else (a, vec)
     return _staged(
         stacks, _two_sided_sweep, _all_pairs_step, _off_norm, tol, _step_start, max_sweeps
@@ -309,8 +308,7 @@ def hestenes_sweeps(b, tol, max_sweeps):
     """Orthogonalize the rows of each matrix of the stack `b` (k, r, m) in
     place by one-sided Jacobi, until its largest row cosine is at most `tol`,
     in the stages of the module docstring, the row count r taking the place
-    of n; the row norms are then the singular values. Returns Counts(sweeps,
-    off) with the steps per matrix as `.steps`."""
+    of n; the row norms are then the singular values. Returns the stack's Counts."""
     return _staged(
         (b,), _one_sided_sweep, _one_sided_step, _max_cosine, tol, lambda _: STEP_START, max_sweeps
     )

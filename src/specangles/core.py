@@ -163,7 +163,7 @@ def _solved_diagonals(ms: Sequence[SymmetricMatrix], vec: np.ndarray | None) -> 
     a, e = _scaled(np.array([m.entries for m in ms], dtype=float))
     fro = np.sqrt(np.sum(a * a, axis=(1, 2)))
     # positional: the kernel-call counters read the stack as the first argument
-    _, off = jacobi_sweeps(a, vec, JACOBI_TOL * fro, MAX_SWEEPS)
+    off = jacobi_sweeps(a, vec, JACOBI_TOL * fro, MAX_SWEEPS).off
     _require_converged(off, fro)
     return np.ldexp(np.diagonal(a, axis1=1, axis2=2), e[:, None])
 
@@ -195,7 +195,7 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
     b, e = _scaled(b)
     b = _preconditioned(b)
-    _, off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
+    off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS).off
     _require_converged(off, np.ones_like(off))
     values = np.ldexp(np.sqrt(np.sum(b * b, axis=-1)), e[:, None])
     return list(np.sort(values, axis=1)[:, ::-1])

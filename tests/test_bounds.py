@@ -391,15 +391,25 @@ class TestPerturbationInstance:
             )
 
 
-class TestSpectrumAtZero:
+def six_by_six() -> PerturbationInstance:
+    a = SymmetricMatrix.diagonal([0.0, 1.0, 2.0, 5.0, 6.0, 7.0])
+    v = SymmetricMatrix.diagonal([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return PerturbationInstance.build(a, v, (0, 1, 2))
+
+
+def decs_of_other_sizes() -> list:
+    return [eigh(SymmetricMatrix.diagonal(range(n))) for n in (3, 8)]
+
+
+class TestSpectraAtZero:
     def test_t_zero_reuses_the_build_solve(self, kernel_calls):
         a, w = sharpness_matrices(0.6)
         inst = PerturbationInstance.build(a, w, (0,))
         kernel_calls.clear()
         omega_component(inst, 0.0)
         report = enclosure_check(inst, 0.0)
+        assert inst.spectra([0.0])[0.0] is inst.dec_a
         assert kernel_calls == []
-        assert inst.spectrum(0.0) is inst.dec_a
         assert report.tol == 1e-8
         omega_component(inst, 0.5)
         assert kernel_calls == [("two-sided", (1, 2, 2))]
@@ -448,6 +458,12 @@ class TestEnclosure:
             enclosure_check(inst, -0.1)
         with pytest.raises(ValueError):
             enclosure_check(inst, 1.5)
+
+    def test_refuses_a_dec_of_another_size(self):
+        inst = six_by_six()
+        for dec in decs_of_other_sizes():
+            with pytest.raises(ValueError, match=f"dimension {dec.dim}, the instance 6"):
+                enclosure_check(inst, 0.5, dec=dec)
 
 
 class TestOmegaComponent:
@@ -523,6 +539,12 @@ class TestOmegaComponent:
         stray = eigh(SymmetricMatrix.diagonal([10.0, 11.0]))
         with pytest.raises(ValueError, match="left its Weyl interval"):
             omega_component(inst, 1.0, dec=stray)
+
+    def test_refuses_a_dec_of_another_size(self):
+        inst = six_by_six()
+        for dec in decs_of_other_sizes():
+            with pytest.raises(ValueError, match=f"dimension {dec.dim}, the instance 6"):
+                omega_component(inst, 0.5, dec=dec)
 
 
 class TestContinuityModulus:

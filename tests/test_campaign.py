@@ -32,7 +32,6 @@ from specangles import (
     ConfigError,
     ROW_FIELDS,
     TrialReport,
-    rows_csv,
     rows_jsonl,
     rows_of,
     run_campaign,
@@ -341,17 +340,26 @@ class TestWalkPath:
                 assert inside.distance_to_point(float(lam)) <= tol
                 assert other.distance_to_point(float(lam)) > tol
 
+    def test_one_path_call_for_distinct_times(self, kernel_calls):
+        inst = campaign._build_instance("convex-separated", 6, 0.5, 3)
+        kernel_calls.clear()
+        campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
+        assert kernel_calls == [("two-sided", (2, 6, 6)), ("one-sided", (3, 3, 3))]
+
+
+class TestSpectra:
+    # from n = 16 the warm solve finishes with all-pairs steps, so n = 24
+    # checks the stacked bits through them too
+    @pytest.mark.parametrize("n, ratio, seed", [(8, 0.65, 77), (24, 0.95, 3)])
     @pytest.mark.parametrize("plan", campaign.PLAN_NAMES)
-    def test_same_bits_as_one_point_at_a_time(self, plan):
-        # the stacked warm solve gives each t the bits of the one-point
-        # inst.spectrum(t), which solves the same M_t alone
-        inst = campaign._build_instance(plan, 8, 0.65, 77)
+    def test_one_t_alone_has_the_bits_it_has_in_a_set(self, plan, n, ratio, seed):
+        inst = campaign._build_instance(plan, n, ratio, seed)
         pairs = [(0.0, 0.5), (0.5, 1.0), (0.25, 0.25), (0.0, 1.0)]
         decs, reports = campaign.walk_path(inst, pairs)
         assert list(decs) == [0.0, 0.5, 1.0, 0.25]
         assert decs[0.0] is inst.dec_a
         for t, dec in list(decs.items())[1:]:
-            alone = inst.spectrum(t)
+            alone = inst.spectra([t])[t]
             assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
             assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
         for (s, t), report in zip(pairs, reports, strict=True):
@@ -359,11 +367,23 @@ class TestWalkPath:
             assert np.array_equal(report.sines, angle_reports([pair])[0].sines)
         assert reports[2].sines.tolist() == [0.0] * inst.a.dim
 
-    def test_one_path_call_for_distinct_times(self, kernel_calls):
+    def test_repeated_t_is_solved_once(self, kernel_calls):
         inst = campaign._build_instance("convex-separated", 6, 0.5, 3)
         kernel_calls.clear()
-        campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
-        assert kernel_calls == [("two-sided", (2, 6, 6)), ("one-sided", (3, 3, 3))]
+        decs = inst.spectra([0.5, 0.0, 1.0, 0.5, 0.25, 1.0, 0.0])
+        assert list(decs) == [0.5, 0.0, 1.0, 0.25]
+        assert decs[0.0] is inst.dec_a
+        assert kernel_calls == [("two-sided", (3, 6, 6))]
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
+    def test_t_is_checked_before_any_solve(self, kernel_calls, bad):
+        inst = campaign._build_instance("convex-separated", 8, 0.5, 3)
+        kernel_calls.clear()
+        with pytest.raises(ValueError, match="t must lie in"):
+            inst.spectra([0.5, bad])
+        with pytest.raises(ValueError, match="t must lie in"):
+            campaign.walk_path(inst, [(0.0, bad)])
+        assert kernel_calls == []
 
 
 GENERATED_PLANS = ("convex-separated", "doubly-interleaved", "rank-one")
@@ -386,9 +406,10 @@ class TestWarmPath:
         inst = campaign._build_instance(plan, n, ratio, 500 + n)
         times = campaign.T_GRID[1:]
         cold = core.eigh_many([inst.perturbed(t) for t in times])
+        warm = inst.spectra(times)
         for t, reference in zip(times, cold):
             m = inst.perturbed(t).entries
-            dec = inst.spectrum(t)
+            dec = warm[t]
             residual, defect = residual_and_defect(m, dec)
             assert residual <= 1e-12
             assert defect <= 1e-13
@@ -409,11 +430,12 @@ class TestWarmPath:
             base.a, base.v, base.sigma_indices, dec_a, eigh(base.v).eigenvalues
         )
         w = core.SymmetricMatrix(q.T @ inst.v.entries @ q)
-        for t in campaign.T_GRID[1:]:
+        for t, dec in inst.spectra(campaign.T_GRID[1:]).items():
             m = inst.perturbed(t).entries
-            assert residual_and_defect(m, inst.spectrum(t))[0] <= 1e-12
-            diag = core.SymmetricMatrix.diagonal(dec_a.eigenvalues) + w.scaled(t)
-            assert residual_and_defect(m, inst.lifted([eigh(diag)])[0])[0] > 1e-12
+            assert residual_and_defect(m, dec)[0] <= 1e-12
+            x = eigh(core.SymmetricMatrix.diagonal(dec_a.eigenvalues) + w.scaled(t))
+            lifted = core.SpectralDecomposition(x.eigenvalues, q @ x.eigenvectors)
+            assert residual_and_defect(m, lifted)[0] > 1e-12
 
     def test_warm_start_saves_sweeps(self, monkeypatch):
         # sweeps and steps are pure functions of the input matrix. At n = 48
@@ -491,10 +513,12 @@ class TestAllPairsSteps:
     def stack(self):
         n = self.N
         inst = campaign._build_instance("convex-separated", n, 0.65, 7)
+        q = inst.dec_a.eigenvectors
         g = PortableRng(n).gaussians(n * 3).reshape(n, 3)
         sym = PortableRng(43).gaussians(n * n).reshape(n, n)
         return [
-            inst.in_eigenbasis(1.0),
+            # the path matrix M_1 = Q^T A Q + Q^T V Q that spectra solves
+            SymmetricMatrix(q.T @ inst.a.entries @ q) + SymmetricMatrix(q.T @ inst.v.entries @ q),
             inst.perturbed(1.0),
             SymmetricMatrix(g @ g.T),
             SymmetricMatrix(np.zeros((n, n))),
@@ -519,14 +543,6 @@ class TestAllPairsSteps:
             assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
         # the warm, cold and PSD matrices step; zero and the diagonal need nothing
         assert np.all(steps[0][:3] > 0) and steps[0][3:5].tolist() == [0, 0]
-
-    def test_walk_path_gives_the_bits_of_spectrum(self):
-        inst = campaign._build_instance("doubly-interleaved", self.N, 0.95, 3)
-        decs, _ = campaign.walk_path(inst, [(0.0, t) for t in campaign.T_GRID[1:]])
-        for t, dec in decs.items():
-            alone = inst.spectrum(t)
-            assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
-            assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
     def test_degenerate_inputs_meet_the_warm_path_bounds(self, scale):
@@ -561,22 +577,23 @@ class TestAllPairsSteps:
     @pytest.mark.parametrize("r", [15, 16])
     def test_one_sided_steps_start_at_16_rows(self, monkeypatch, r):
         # the one-sided kernel stages by its row count and returns the same
-        # Counts: square and wide stacks of 15 rows only sweep, of 16 rows
-        # every matrix steps, and needs fewer sweeps than sweeps alone take
+        # Counts (sweeps, off, steps): square and wide stacks of 15 rows only
+        # sweep, of 16 rows every matrix steps, and needs fewer sweeps than
+        # sweeps alone take
         for m in (r, r + 9):
             b = PortableRng(100 + m).gaussians(2 * r * m).reshape(2, r, m)
             counts = _jacobi.hestenes_sweeps(b.copy(), 1e-13, 100)
-            sweeps, off = counts
-            assert isinstance(counts, _jacobi.Counts) and counts[0] is sweeps
-            assert np.all(off <= 1e-13) and counts.steps.dtype == np.int64
+            sweeps, off, steps = counts
+            assert isinstance(counts, _jacobi.Counts) and counts[0] is counts.sweeps is sweeps
+            assert np.all(off <= 1e-13) and steps.dtype == np.int64
             if r < _jacobi.STEP_MIN_N:
-                assert np.all(sweeps > 0) and counts.steps.tolist() == [0, 0]
+                assert np.all(sweeps > 0) and steps.tolist() == [0, 0]
                 continue
-            assert np.all(counts.steps > 0) and counts.steps.max() <= _jacobi.STEP_CAP
+            assert np.all(steps > 0) and steps.max() <= _jacobi.STEP_CAP
             with monkeypatch.context() as patch:
                 patch.setattr(_jacobi, "STEP_MIN_N", r + 1)
                 alone = _jacobi.hestenes_sweeps(b.copy(), 1e-13, 100)
-            assert alone.steps.tolist() == [0, 0] and np.all(sweeps < alone[0])
+            assert alone.steps.tolist() == [0, 0] and np.all(sweeps < alone.sweeps)
 
 
 def path_angle(inst) -> float:
@@ -619,7 +636,7 @@ class TestSerialization:
             assert isinstance(payload["pass"], bool)
 
     def test_csv_mirrors_jsonl_exactly(self, rank_one_reports):
-        text = rows_csv(rank_one_reports)
+        text = campaign.csv_text(campaign.rows_table(rank_one_reports))
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == list(ROW_FIELDS)
         rows = list(rows_of(rank_one_reports))
@@ -635,7 +652,7 @@ class TestSerialization:
 
     def test_empty_reports_serialize_empty(self):
         assert rows_jsonl([]) == ""
-        assert rows_csv([]).splitlines() == [",".join(ROW_FIELDS)]
+        assert campaign.csv_text(campaign.rows_table([])) == ",".join(ROW_FIELDS) + "\n"
 
     def test_failed_row_fails_trial(self):
         row = BoundRow(

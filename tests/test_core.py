@@ -134,7 +134,7 @@ class TestJacobiKernel:
         a[0, 2:, 2:] = [[3.0, 1e-3], [1e-3, 4.0]]
         vec = np.eye(4)[None].copy()
         tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
-        sweeps, off = _jacobi.jacobi_sweeps(a, vec, tol, 100)
+        sweeps, off, _ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
         assert sweeps.tolist() == [1]
         assert off.tolist() == [0.0]
 
@@ -158,16 +158,16 @@ class TestJacobiKernel:
         a = g + g.transpose(0, 2, 1)
         vec = np.repeat(np.eye(9)[None], 4, axis=0)
         tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
-        sweeps, off = _jacobi.jacobi_sweeps(a, vec, tol, 100)
+        sweeps, off, _ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
         assert np.all(sweeps > 0) and np.all(off <= tol)
         b = g[:, :5].copy()
-        sweeps, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        sweeps, off, _ = _jacobi.hestenes_sweeps(b, 1e-13, 100)
         assert np.all(sweeps > 0) and np.all(off <= 1e-13)
 
     def test_one_sided_off_is_the_largest_row_cosine(self):
         b = PortableRng(75).gaussians(3 * 6 * 11).reshape(3, 6, 11)
         b[1] *= np.logspace(0, -9, 6)[:, None]
-        _, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        off = _jacobi.hestenes_sweeps(b, 1e-13, 100).off
         for m, value in zip(b, off, strict=True):
             norms = np.linalg.norm(m, axis=1)
             cosines = np.abs(m @ m.T) / np.outer(norms, norms)
@@ -199,7 +199,7 @@ class TestJacobiKernel:
         b[0, 2] = [0.0, 2.0, 0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweeps, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+            sweeps, off, _ = _jacobi.hestenes_sweeps(b, 1e-13, 100)
         assert sweeps.tolist() == [0] and off.tolist() == [0.0]
 
 
@@ -381,7 +381,7 @@ class TestSingularValuesMany:
     def test_one_row_has_no_rounds(self):
         assert _jacobi._pairs(1) == ()
         b = np.array([[[3.0, 4.0]], [[0.0, 0.0]]])
-        sweeps, off = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        sweeps, off, _ = _jacobi.hestenes_sweeps(b, 1e-13, 100)
         assert sweeps.tolist() == [0, 0] and off.tolist() == [0.0, 0.0]
         assert [v.tolist() for v in singular_values_many(list(b))] == [[5.0], [0.0]]
         assert singular_values_many([np.array([[3.0], [4.0]])])[0].tolist() == [5.0]
