@@ -336,12 +336,17 @@ def omega_component(
     return OmegaComponent(t=t, omega_indices=idx, dec=dec, bases=bases)
 
 
+def _require_scales(v_norm: float, d: float) -> None:
+    # NaN fails every comparison and inf passes some: refuse both up front.
+    if not (math.isfinite(d) and d > 0.0 and math.isfinite(v_norm) and v_norm >= 0.0):
+        raise ValueError("need finite d > 0 and finite ||V|| >= 0")
+
+
 def continuity_modulus(v_norm: float, d: float, s: float, t: float) -> float:
     """Norm bound (pi/2)*(t-s)*||V||/(d - t*||V||) on ||P_s - P_t||, s <= t."""
+    _require_scales(v_norm, d)
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError("need 0 <= s <= t <= 1")
-    if v_norm < 0 or d <= 0:
-        raise ValueError("need v_norm >= 0 and d > 0")
     if t * v_norm >= d:
         raise ValueError("gap non-closing hypothesis t*||V|| < d violated")
     return (math.pi / 2.0) * (t - s) * v_norm / (d - t * v_norm)
@@ -361,6 +366,7 @@ def convexity_condition(sigma: IntervalSet, big_sigma: IntervalSet) -> bool:
 def bound_favorable(v_norm: float, d: float) -> float:
     """Sharp angle bound (1/2)*arcsin(||V||/d) under the convex-hull
     condition; always below pi/4."""
+    _require_scales(v_norm, d)
     if d <= 0 or not 0.0 <= v_norm < d:
         raise ValueError("hypothesis 0 <= ||V|| < d violated")
     return 0.5 * math.asin(v_norm / d)
@@ -369,16 +375,14 @@ def bound_favorable(v_norm: float, d: float) -> float:
 def bound_sin2theta(v_norm: float, d: float, convex: bool) -> float:
     """Bound on ||sin 2*Theta||: (pi/2)*||V||/d in general, ||V||/d under the
     convex-hull condition."""
-    if d <= 0 or v_norm < 0:
-        raise ValueError("need d > 0 and ||V|| >= 0")
+    _require_scales(v_norm, d)
     ratio = v_norm / d
     return ratio if convex else (math.pi / 2.0) * ratio
 
 
 def bound_corollary(v_norm: float, d: float) -> float:
     """Angle bound (1/2)*arcsin(pi*||V||/(2d)), valid while ||V|| <= 2d/pi."""
-    if d <= 0 or v_norm < 0:
-        raise ValueError("need d > 0 and ||V|| >= 0")
+    _require_scales(v_norm, d)
     arg = math.pi * v_norm / (2.0 * d)
     if arg > 1.0 + ASIN_SLACK:
         raise ValueError("hypothesis ||V|| <= 2d/pi violated")
@@ -459,8 +463,7 @@ def bound_generic(v_norm: float, d: float) -> float:
     ||V|| < c_crit_sem * d. Beyond that ratio no bound is known (open
     problem), so NoBoundKnownError is raised rather than a fabricated value.
     """
-    if d <= 0 or v_norm < 0:
-        raise ValueError("need d > 0 and ||V|| >= 0")
+    _require_scales(v_norm, d)
     if v_norm >= C_CRIT_SEM * d:
         raise NoBoundKnownError(
             f"no angle bound is known for ||V||/d = {v_norm / d!r} >= "
@@ -473,6 +476,7 @@ def bound_log(v_norm: float, d: float) -> LogBound:
     """Log-integral angle bound (pi/4)*log(d/(d-||V||)); the flag records
     whether ||V||/d < 2*sinh(1)/e, exactly the regime where the value stays
     below pi/2."""
+    _require_scales(v_norm, d)
     if d <= 0 or not 0.0 <= v_norm < d:
         raise ValueError("hypothesis 0 <= ||V|| < d violated")
     return LogBound(
@@ -485,6 +489,7 @@ def angle_bounds(v_norm: float, d: float, convex: bool) -> dict[str, float]:
     """The value of each angle bound whose hypothesis holds, keyed and
     ordered by ANGLE_BOUND_NAMES; a bound whose hypothesis fails is absent,
     never fabricated."""
+    _require_scales(v_norm, d)
     values = (
         bound_favorable(v_norm, d) if convex and v_norm < d else None,
         bound_corollary(v_norm, d) if v_norm <= 2.0 * d / math.pi else None,

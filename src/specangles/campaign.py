@@ -254,9 +254,9 @@ def walk_path(
 ) -> tuple[dict[float, SpectralDecomposition], list[AngleReport]]:
     """Walk the path A + tV over the times of `pairs`: the decomposition at
     each distinct t, from `inst.spectra`, and the angle report of each pair
-    (s, t) in order. Each t's bases come from `omega_component`, and all
-    pairs share one `angle_reports` call. The campaign, `chain_demo` and the
-    sharpness sweep all walk the path here.
+    (s, t) in order. Each t's bases, from `omega_component`, are n x r with
+    r = |sigma|, so all pairs fit one `angle_reports` call and one kernel
+    call. The campaign, `chain_demo` and the sharpness sweep walk it here.
     """
     decs = inst.spectra(t for pair in pairs for t in pair)
     bases = {t: omega_component(inst, t, dec=dec).bases for t, dec in decs.items()}

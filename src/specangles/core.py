@@ -181,9 +181,9 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     2008 for the QR preconditioning) from subnormal to near overflow. The
     Gram matrix of the current rows only picks each round's or step's
     rotations: no value is read from the eigenvalues of M^T M. A matrix gets
-    the same values alone or in a stack. Hard cap of 100 sweeps and all-pairs
-    steps together; raises ConvergenceError if any matrix misses the
-    tolerance there.
+    the same values alone or in a stack. A non-finite entry raises
+    ValueError. Hard cap of 100 sweeps and all-pairs steps together; raises
+    ConvergenceError if any matrix misses the tolerance there.
     """
     if not len(ms):
         return []
@@ -191,6 +191,8 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     if len(shape) != 2 or any(np.shape(m) != shape for m in ms):
         raise ValueError("all matrices must be 2-D with the same shape")
     b = np.array(ms, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("entries must be finite")
     if shape[0] > shape[1]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
     b, e = _scaled(b)

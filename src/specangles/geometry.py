@@ -60,51 +60,33 @@ def angle_report(p: Projector, q: Projector) -> AngleReport:
 
 
 def angle_reports(pairs: Sequence[tuple[Bases, Bases]]) -> list[AngleReport]:
-    """Sine spectra of pairs of subspaces given by orthonormal bases.
+    """Sine spectra of pairs of equal-dimension subspaces, from their bases.
 
-    Each side is (U, U_perp): n x r columns spanning the subspace and
-    n x (n - r) columns spanning its complement. The sines are |spec(P - Q)|
-    of the two projectors, by the identity that the nonzero part of
-    spec(P - Q) is +-sigma(U_perp_P^T U_Q) and +-sigma(U_P^T U_perp_Q). For
-    equal ranks the two sets coincide, so only the first product is formed
-    and each of its singular values appears twice; unequal ranks take both.
-    Nothing forms P - Q, and no sine is read from S^T S or from a cosine.
-    Two bit-identical bases U span the same subspace, so their sines are
-    exactly zero and nothing is solved.
+    Each side is (U, U_perp): U is n x r and spans the subspace, U_perp is
+    n x (n - r) and spans its complement, with one n and one r, 0 < r < n,
+    across the call; anything else raises ValueError, and projectors of
+    other ranks go through `angle_report`. The sines are |spec(P - Q)|, whose
+    nonzero part at equal ranks is +-sigma(U_perp_P^T U_Q): that product is
+    formed per pair, each of its singular values appears twice, and all the
+    products go through one call of the one-sided kernel. Nothing forms
+    P - Q, and no sine is read from S^T S or from a cosine. Two bit-identical
+    bases U span the same subspace: their sines are exactly zero, unsolved.
     """
-    products = []
-    for (u_s, perp_s), (u_t, perp_t) in pairs:
-        n = u_s.shape[0]
-        if not (
-            perp_s.shape[0] == u_t.shape[0] == perp_t.shape[0] == n
-            and u_s.shape[1] + perp_s.shape[1] == n
-            and u_t.shape[1] + perp_t.shape[1] == n
-        ):
-            raise ValueError("dimension mismatch")
-        pair = [] if np.array_equal(u_s, u_t) else [perp_s.T @ u_t]
-        if pair and u_s.shape[1] != u_t.shape[1]:
-            pair.append(u_s.T @ perp_t)
-        products.append((n, pair))
-    values = iter(_singular_values([m for _, pair in products for m in pair]))
-    reports = []
-    for n, pair in products:
-        found = [next(values) for _ in pair]
-        reports.append(_report(found * 2 if len(pair) == 1 else found, n))
-    return reports
-
-
-def _singular_values(ms: list[np.ndarray]) -> list[np.ndarray]:
-    """Singular values of each matrix, in order, with one kernel call per
-    distinct shape; an empty matrix has none."""
-    found = [np.zeros(0)] * len(ms)
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, m in enumerate(ms):
-        if m.size:
-            by_shape.setdefault(m.shape, []).append(i)
-    for indices in by_shape.values():
-        for i, values in zip(indices, singular_values_many([ms[i] for i in indices])):
-            found[i] = values
-    return found
+    shapes = {(np.shape(u), np.shape(perp)) for pair in pairs for u, perp in pair}
+    if len(shapes) > 1 or any(
+        len(u) != 2 or perp != (u[0], u[0] - u[1]) or not 0 < u[1] < u[0]
+        for u, perp in shapes
+    ):
+        raise ValueError("dimension mismatch")
+    moved = [not np.array_equal(u_s, u_t) for (u_s, _), (u_t, _) in pairs]
+    products = [
+        perp_s.T @ u_t for ((_, perp_s), (u_t, _)), m in zip(pairs, moved) if m
+    ]
+    values = iter(singular_values_many(products))
+    return [
+        _report([next(values)] * 2 if m else [], len(u_s))
+        for ((u_s, _), _), m in zip(pairs, moved)
+    ]
 
 
 def _report(values: list[np.ndarray], n: int) -> AngleReport:

@@ -303,6 +303,27 @@ class TestAngleBounds:
         assert list(found) == ["corollary", "generic", "log"]
 
 
+class TestNonFiniteScales:
+    # NaN fails every hypothesis comparison and inf passes some, so each
+    # function refuses both in ||V|| and in d before reading any hypothesis
+    BOUNDS = {
+        "favorable": bound_favorable,
+        "sin2theta": lambda v, d: bound_sin2theta(v, d, True),
+        "corollary": bound_corollary,
+        "generic": bound_generic,
+        "log": bound_log,
+        "continuity": lambda v, d: continuity_modulus(v, d, 0.0, 1.0),
+        "angle_bounds": lambda v, d: angle_bounds(v, d, True),
+    }
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("name", BOUNDS)
+    @pytest.mark.parametrize("v_norm, d", [(x, 1.0) for x in BAD] + [(0.5, x) for x in BAD])
+    def test_refused(self, name, v_norm, d):
+        with pytest.raises(ValueError, match="finite"):
+            self.BOUNDS[name](v_norm, d)
+
+
 class TestConvexityCondition:
     def test_separated_hulls(self):
         sigma = IntervalSet(((0.0, 1.0),))

@@ -401,6 +401,15 @@ class TestSingularValuesMany:
         with pytest.raises(ConvergenceError):
             singular_values_many([orthogonal, *self.stack((2, 3), 1, 73)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_refused_before_the_kernel(self, kernel_calls, bad):
+        m = np.array([[bad, 1.0], [0.0, 1.0]])
+        good = self.stack((2, 2), 2, 74)
+        for ms in ([m], [good[0], m, good[1]], [m.T, *good]):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                singular_values_many(ms)
+        assert kernel_calls == []
+
     def test_empty_and_mismatched(self):
         assert singular_values_many([]) == []
         with pytest.raises(ValueError):

@@ -103,13 +103,17 @@ def tiny_angle_pair(seed: int):
 class TestAngleReportsFromBases:
     @pytest.mark.parametrize("ranks", [(3, 3), (2, 5), (5, 2), (1, 6), (0, 4)])
     def test_sines_are_the_spectrum_of_the_difference(self, ranks):
+        # projectors of any ranks go through angle_report; bases only at equal
+        # ranks, so they are checked with p drawn again at q's rank
         for seed in range(5):
-            p = haar_projector(7, ranks[0], 100 + seed)
             q = haar_projector(7, ranks[1], 200 + seed)
-            expected = np.sort(np.abs(np.linalg.eigvalsh(p.matrix.entries - q.matrix.entries)))
-            report = angle_reports([(range_bases(p), range_bases(q))])[0]
-            assert np.abs(report.sines - expected[::-1]).max() < 1e-14
-            assert np.abs(angle_report(p, q).sines - expected[::-1]).max() < 1e-14
+            for p in (haar_projector(7, r, 100 + seed) for r in set(ranks)):
+                diff = p.matrix.entries - q.matrix.entries
+                expected = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1]
+                if p.rank == q.rank:
+                    report = angle_reports([(range_bases(p), range_bases(q))])[0]
+                    assert np.abs(report.sines - expected).max() < 1e-14
+                assert np.abs(angle_report(p, q).sines - expected).max() < 1e-14
 
     def test_small_angle_keeps_relative_accuracy(self):
         p, q = tiny_angle_pair(0)
@@ -152,6 +156,43 @@ class TestAngleReportsFromBases:
         planes = [range_bases(haar_projector(9, 4, seed)) for seed in range(4)]
         angle_reports(list(zip(planes, planes[1:])))
         assert kernel_calls == [("one-sided", (3, 4, 4))]
+
+    def test_bit_identical_pairs_make_no_kernel_call(self, kernel_calls):
+        planes = [range_bases(haar_projector(6, 3, seed)) for seed in range(3)]
+        reports = angle_reports([(plane, plane) for plane in planes])
+        assert kernel_calls == []
+        assert [report.sines.tolist() for report in reports] == [[0.0] * 6] * 3
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_k_distinct_pairs_make_one_call_of_stack_k(self, kernel_calls, k):
+        # distinct pairs between identical ones: only the distinct form 5 x 3
+        # products, which reach the kernel as 3 x 3 factors, in pair order
+        planes = [range_bases(haar_projector(8, 3, 400 + seed)) for seed in range(k + 1)]
+        pairs = []
+        for s, t in zip(planes, planes[1:]):
+            pairs += [(s, s), (s, t)]
+        reports = angle_reports(pairs)
+        assert kernel_calls == [("one-sided", (k, 3, 3))]
+        for pair, report in zip(pairs, reports, strict=True):
+            assert np.array_equal(report.sines, angle_reports([pair])[0].sines)
+
+    def test_rejects_unequal_ranks(self):
+        low, high = (range_bases(haar_projector(7, r, 300 + r)) for r in (2, 5))
+        for pairs in ([(low, high)], [(high, low)], [(low, low), (high, high)]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                angle_reports(pairs)
+
+    def test_rejects_mixed_n_across_pairs(self):
+        small, large = (range_bases(haar_projector(n, 2, n)) for n in (5, 6))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            angle_reports([(small, small), (large, large)])
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_rejects_trivial_rank(self, r):
+        eye = np.eye(4)
+        side = (eye[:, :r], eye[:, r:])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            angle_reports([(side, side)])
 
     def test_rejects_inconsistent_bases(self):
         p = range_bases(haar_projector(5, 2, 1))

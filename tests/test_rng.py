@@ -2,6 +2,7 @@
 bit; everything downstream (ensembles, campaigns, goldens) leans on that."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +115,41 @@ def test_distinct_seeds_decorrelate():
     a = PortableRng(1).raw(64)
     b = PortableRng(2).raw(64)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: rng.raw(-1),
+        lambda rng: rng.uniforms(-2),
+        lambda rng: rng.uniform_in(0.0, 1.0, -1),
+        lambda rng: rng.gaussians(-3),
+        lambda rng: rng.gaussians(-1),
+        lambda rng: rng.haar_orthogonal(-1),
+    ],
+)
+def test_bad_size_is_refused_before_any_draw(draw):
+    rng = PortableRng(5)
+    rng.raw(3)
+    with pytest.raises(ValueError, match="size"):
+        draw(rng)
+    # the stream did not move: the next word is the fourth, drawn once
+    assert rng.raw(1)[0] == PortableRng(5).raw(4)[3]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_unit_vector_in_no_dimension_never_draws(monkeypatch, n):
+    # an empty draw has norm 0, which would be redrawn forever
+    def refuse(self, count):
+        raise AssertionError(f"unit_vector({n}) drew gaussians")
+
+    monkeypatch.setattr(PortableRng, "gaussians", refuse)
+    with pytest.raises(ValueError, match="size"):
+        PortableRng(5).unit_vector(n)
+
+
+def test_empty_draws_stay_valid():
+    rng = PortableRng(5)
+    assert rng.raw(0).size == rng.uniforms(0).size == rng.gaussians(0).size == 0
+    assert rng.haar_orthogonal(0).shape == (0, 0)
+    assert np.array_equal(rng.raw(1), PortableRng(5).raw(1))
