@@ -3,6 +3,8 @@ exact eigensolving, subspace geometry, closed-form bounds with their
 critical constants, the partition infimum oracle, and seeded verification
 campaigns."""
 
+from types import ModuleType as _Module
+
 from .core import (
     ConvergenceError,
     IntervalSet,
@@ -83,72 +85,5 @@ from .campaign import (
 )
 from .rng import PortableRng
 
-__all__ = [
-    "AngleReport",
-    "BlockSplit",
-    "BoundConstants",
-    "BoundRow",
-    "CONVEX_SEPARATED",
-    "C_CRIT",
-    "C_CRIT_SEM",
-    "CampaignConfig",
-    "ChainPlan",
-    "ConfigError",
-    "ConvergenceError",
-    "DOUBLY_INTERLEAVED",
-    "EnclosureReport",
-    "INTERLEAVED",
-    "IntervalSet",
-    "LOG_THRESHOLD",
-    "LogBound",
-    "N_eval",
-    "NoBoundKnownError",
-    "OmegaComponent",
-    "PartitionPlan",
-    "PerturbationInstance",
-    "PortableRng",
-    "Projector",
-    "ROW_FIELDS",
-    "SpecPlan",
-    "SpectralDecomposition",
-    "SymmetricMatrix",
-    "TrialReport",
-    "angle_bounds",
-    "angle_report",
-    "angle_reports",
-    "block_example",
-    "block_split",
-    "bound_corollary",
-    "bound_favorable",
-    "bound_generic",
-    "bound_log",
-    "bound_sin2theta",
-    "chain_demo",
-    "constants",
-    "continuity_modulus",
-    "convex_plan",
-    "convexity_condition",
-    "eigh",
-    "eigh_many",
-    "enclosure_check",
-    "interleaved_plan",
-    "kappa_solve",
-    "make_plan",
-    "membership_tol",
-    "omega_component",
-    "optimize",
-    "psd_block_bounds",
-    "random_instance",
-    "rank_one_instance",
-    "riemann_limit_check",
-    "rows_jsonl",
-    "rows_of",
-    "run_campaign",
-    "set_distance",
-    "sharpness_pair",
-    "shift_set",
-    "singular_values_many",
-    "spectral_projector",
-    "truncate_digits",
-    "walk_path",
-]
+# Every public name imported above, the submodules aside.
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _Module))

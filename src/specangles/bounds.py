@@ -254,6 +254,14 @@ class LogBound:
     below_half_pi: bool
 
 
+def _decomposition_at(inst: PerturbationInstance, t: float, dec: SpectralDecomposition | None):
+    if dec is None:
+        return inst.spectra([t])[t]
+    if dec.dim != inst.a.dim:
+        raise ValueError(f"dec has dimension {dec.dim}, the instance {inst.a.dim}")
+    return dec
+
+
 def enclosure_check(
     inst: PerturbationInstance, t: float, dec: SpectralDecomposition | None = None
 ) -> EnclosureReport:
@@ -262,11 +270,7 @@ def enclosure_check(
     -DEFAULT_TOL. A `dec` of another dimension than A raises ValueError."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if dec is None:
-        dec = inst.spectra([t])[t]
-    elif dec.dim != inst.a.dim:
-        raise ValueError(f"dec has dimension {dec.dim}, the instance {inst.a.dim}")
-    w = dec.eigenvalues
+    w = _decomposition_at(inst, t, dec).eigenvalues
     margins = _shifted_margins(inst.dec_a.eigenvalues, t * inst.v_norm, w)
     return EnclosureReport(t=t, eigenvalues=w, margins=margins, tol=DEFAULT_TOL)
 
@@ -305,18 +309,15 @@ def omega_component(
     spectrum in sigma + [0, t*||V||] is exactly the eigenvalues at sigma's
     indices. That is checked, not assumed: an eigenvalue outside its own Weyl
     interval by more than membership_tol(||A + tV||) raises ValueError, as
-    does a `dec` of another dimension than A. `dec` defaults to
-    inst.spectra([t])[t], so t = 0 reuses build()'s solve of A.
+    do a `dec` of another dimension than A and, before any solve, a t outside
+    [0, 1] or with t*||V|| >= d. `dec` defaults to inst.spectra([t])[t].
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     shift = t * inst.v_norm
     if shift >= inst.d:
         raise ValueError("gap non-closing hypothesis t*||V|| < d violated")
-    if dec is None:
-        dec = inst.spectra([t])[t]
-    elif dec.dim != inst.a.dim:
-        raise ValueError(f"dec has dimension {dec.dim}, the instance {inst.a.dim}")
+    dec = _decomposition_at(inst, t, dec)
     w = dec.eigenvalues
     lower = inst.dec_a.eigenvalues
     tol = membership_tol(dec.norm)
@@ -365,9 +366,9 @@ def convexity_condition(sigma: IntervalSet, big_sigma: IntervalSet) -> bool:
 
 def bound_favorable(v_norm: float, d: float) -> float:
     """Sharp angle bound (1/2)*arcsin(||V||/d) under the convex-hull
-    condition; always below pi/4."""
+    condition, which needs ||V|| < d (ValueError otherwise); below pi/4."""
     _require_scales(v_norm, d)
-    if d <= 0 or not 0.0 <= v_norm < d:
+    if v_norm >= d:
         raise ValueError("hypothesis 0 <= ||V|| < d violated")
     return 0.5 * math.asin(v_norm / d)
 
@@ -473,11 +474,11 @@ def bound_generic(v_norm: float, d: float) -> float:
 
 
 def bound_log(v_norm: float, d: float) -> LogBound:
-    """Log-integral angle bound (pi/4)*log(d/(d-||V||)); the flag records
-    whether ||V||/d < 2*sinh(1)/e, exactly the regime where the value stays
-    below pi/2."""
+    """Log-integral angle bound (pi/4)*log(d/(d-||V||)), ValueError unless
+    ||V|| < d; the flag records whether ||V||/d < 2*sinh(1)/e, exactly the
+    regime where the value stays below pi/2."""
     _require_scales(v_norm, d)
-    if d <= 0 or not 0.0 <= v_norm < d:
+    if v_norm >= d:
         raise ValueError("hypothesis 0 <= ||V|| < d violated")
     return LogBound(
         value=(math.pi / 4.0) * math.log(d / (d - v_norm)),

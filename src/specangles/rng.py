@@ -19,6 +19,7 @@ instances are bit-identical only under one BLAS/LAPACK build.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -35,22 +36,23 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _require_size(size: int, least: int) -> None:
-    if size < least:
+def _require_size(size: int, least: int) -> int:
+    if (size := operator.index(size)) < least:
         raise ValueError(f"size must be at least {least}, got {size}")
+    return size
 
 
 class PortableRng:
-    """SplitMix64 counter stream with vector draws; a size no draw can take
-    raises ValueError before any word is drawn."""
+    """SplitMix64 counter stream with vector draws; a size no draw can take,
+    or a size or seed that is not an integer, raises before any word is drawn."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _MASK)
+        self._seed = np.uint64(operator.index(seed) & _MASK)
         self._counter = 0
 
     def raw(self, count: int) -> np.ndarray:
         """Next `count` raw 64-bit words as a uint64 array."""
-        _require_size(count, 0)
+        count = _require_size(count, 0)
         idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
         with np.errstate(over="ignore"):
@@ -62,7 +64,7 @@ class PortableRng:
 
     def gaussians(self, count: int) -> np.ndarray:
         """count standard normals via Box-Muller."""
-        _require_size(count, 0)
+        count = _require_size(count, 0)
         pairs = (count + 1) // 2
         # u1 shifted into (0, 1] so log is always finite
         u1 = ((self.raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
@@ -78,7 +80,7 @@ class PortableRng:
         return lo + (hi - lo) * self.uniforms(count)
 
     def unit_vector(self, n: int) -> np.ndarray:
-        _require_size(n, 1)
+        n = _require_size(n, 1)
         g = self.gaussians(n)
         norm = float(np.linalg.norm(g))
         while norm < 1e-12:  # astronomically unlikely; keeps the contract total
@@ -89,7 +91,7 @@ class PortableRng:
     def haar_orthogonal(self, n: int) -> np.ndarray:
         """Haar-distributed orthogonal matrix: QR of a Gaussian matrix with the
         sign convention fixed by the R diagonal."""
-        _require_size(n, 0)
+        n = _require_size(n, 0)
         g = self.gaussians(n * n).reshape(n, n)
         q, r = np.linalg.qr(g)
         signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)

@@ -6,6 +6,7 @@ the literals are the oracle, not a snapshot of the code under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,15 @@ class TestScalarBounds:
         with pytest.raises(ValueError):
             bound_log(1.0, 1.0)
 
+    @pytest.mark.parametrize("bound", [bound_favorable, bound_log])
+    @pytest.mark.parametrize("v_norm", [1.0, 1.5])
+    def test_closed_gap_message(self, bound, v_norm):
+        # asin and log would fail on their own past ||V|| = d, with other
+        # errors; the hypothesis check names what was violated
+        message = re.escape("hypothesis 0 <= ||V|| < d violated")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bound(v_norm, 1.0)
+
     @given(st.floats(min_value=1e-6, max_value=0.99), st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_bounds_scale_invariant(self, ratio, d):
@@ -436,6 +446,17 @@ class TestSpectraAtZero:
         assert kernel_calls == [("two-sided", (1, 2, 2))]
 
 
+def test_a_dec_of_another_size_gets_one_message_from_both_checks():
+    inst = six_by_six()
+    for dec in decs_of_other_sizes():
+        messages = set()
+        for check in (enclosure_check, omega_component):
+            with pytest.raises(ValueError) as info:
+                check(inst, 0.5, dec=dec)
+            messages.add(str(info.value))
+        assert messages == {f"dec has dimension {dec.dim}, the instance 6"}
+
+
 class TestEnclosure:
     def test_psd_shift_traps_spectrum(self):
         a, w = sharpness_matrices(0.8)
@@ -544,6 +565,16 @@ class TestOmegaComponent:
             omega_component(inst, 1.0)
         # at small t the same instance is fine
         assert omega_component(inst, 0.25).omega_indices == (0,)
+
+    def test_gap_is_checked_before_any_solve(self, kernel_calls):
+        a = SymmetricMatrix.diagonal([0.0, 1.0])
+        v = SymmetricMatrix.diagonal([2.0, 0.0])
+        inst = PerturbationInstance.build(a, v, (0,))
+        kernel_calls.clear()
+        for t in (0.5, 1.0):  # t*||V|| = d, then 2d
+            with pytest.raises(ValueError, match="gap non-closing"):
+                omega_component(inst, t)
+        assert kernel_calls == []
 
     def test_detects_component_size_change(self):
         a = SymmetricMatrix.diagonal([0.0, 3.0])

@@ -118,23 +118,52 @@ def test_distinct_seeds_decorrelate():
 
 
 @pytest.mark.parametrize(
-    "draw",
+    "draw, error",
     [
-        lambda rng: rng.raw(-1),
-        lambda rng: rng.uniforms(-2),
-        lambda rng: rng.uniform_in(0.0, 1.0, -1),
-        lambda rng: rng.gaussians(-3),
-        lambda rng: rng.gaussians(-1),
-        lambda rng: rng.haar_orthogonal(-1),
+        (lambda rng: rng.raw(-1), ValueError),
+        (lambda rng: rng.uniforms(-2), ValueError),
+        (lambda rng: rng.uniform_in(0.0, 1.0, -1), ValueError),
+        (lambda rng: rng.gaussians(-3), ValueError),
+        (lambda rng: rng.gaussians(-1), ValueError),
+        (lambda rng: rng.haar_orthogonal(-1), ValueError),
+        # a fractional size would draw ceil(size) words and leave the
+        # counter between two of them, so the next draw would repeat a word
+        (lambda rng: rng.raw(2.5), TypeError),
+        (lambda rng: rng.uniforms(np.float64(3.0)), TypeError),
+        (lambda rng: rng.gaussians(2.5), TypeError),
+        (lambda rng: rng.unit_vector(2.5), TypeError),
+        (lambda rng: rng.haar_orthogonal(2.0), TypeError),
     ],
 )
-def test_bad_size_is_refused_before_any_draw(draw):
+def test_bad_size_is_refused_before_any_draw(draw, error):
     rng = PortableRng(5)
     rng.raw(3)
-    with pytest.raises(ValueError, match="size"):
+    with pytest.raises(error, match="size" if error is ValueError else "integer"):
         draw(rng)
     # the stream did not move: the next word is the fourth, drawn once
     assert rng.raw(1)[0] == PortableRng(5).raw(4)[3]
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1"])
+def test_non_integer_seed_is_refused(seed):
+    # 1.5 must not silently name seed 1's stream
+    with pytest.raises(TypeError, match="integer"):
+        PortableRng(seed)
+
+
+def test_numpy_integers_draw_the_same_words():
+    rng = PortableRng(np.uint64(9001))
+    words = np.concatenate([rng.raw(np.int64(3)), rng.raw(np.uint8(2))])
+    assert np.array_equal(words, PortableRng(9001).raw(5))
+    # a size is taken as a Python int, so a narrow numpy type cannot wrap
+    # the counter or the Box-Muller pair count
+    rng = PortableRng(9001)
+    rng.raw(np.uint8(250))
+    assert np.array_equal(rng.raw(10), PortableRng(9001).raw(260)[250:])
+    assert PortableRng(9001).gaussians(np.uint8(255)).size == 255
+    assert np.array_equal(
+        PortableRng(np.int32(7)).haar_orthogonal(np.int64(3)), PortableRng(7).haar_orthogonal(3)
+    )
 
 
 @pytest.mark.parametrize("n", [0, -1])
