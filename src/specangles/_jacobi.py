@@ -24,22 +24,23 @@ from the Gram matrix of the current rows and applies J^T B, which keeps
 small singular values to high relative accuracy (Demmel & Veselic 1992).
 Its off is the largest row cosine |b_p . b_q| / (|b_p| |b_q|), a zero row
 counting as orthogonal; at convergence the row norms are the singular values.
-`core.singular_values_many` hands it the square R factors of two
-norm-pivoted QR factorizations (Drmac & Veselic 2008), whose rows start
-closer to orthogonal than those of the matrix they come from.
+It first takes two norm-pivoted QR passes (`_qr_pass`; Drmac & Veselic
+2008), which leave a square R with the singular values of the r x m matrix
+B (r <= m) and rows closer to orthogonal than those of B.
 
-From n = 16 rows both kernels finish a matrix in the same three stages, run
-by `_staged`, each stage per matrix by `_sweep`: sweeps until off <= 0.25
-||A||_F (two-sided) or until the largest row cosine is <= 0.25 (one-sided),
-then all-pairs steps, then sweeps to the tolerance. A step takes the
-`_tangent` of every pair p < q at once from the current diagonal and pivots
-of A or of B B^T, and orthonormalizes the identity plus their skew
-generator by one QR (Davies & Modi 1986), then applies Q as Q^T A Q or
-Q^T B: one QR and a few products where a sweep takes n - 1 rounds. A matrix
-keeps stepping while each step leaves off at most 0.9 times what it was,
-for 12 steps at most; steps count against the sweep cap. Below n = 16 a
-sweep's rounds cost less than the steps that would replace it, so it is
-sweeps alone.
+From n = 16 rows both kernels finish a matrix in three stages, each run per
+matrix by `_sweep`. The first brings off to 0.25 ||A||_F by sweeps
+(two-sided), or the largest row cosine to 0.25 by more QR passes until a
+pass leaves it above 0.9 times what it was or 12 are done (one-sided).
+`_finished` then runs all-pairs steps and sweeps to the tolerance. A step
+takes the `_tangent` of every pair p < q at once from the diagonal and
+pivots of A or of B B^T, orthonormalizes the identity plus their skew
+generator by one QR (Davies & Modi 1986) and applies Q as Q^T A Q or Q^T B:
+one QR and a few products where a sweep takes n - 1 rounds. A matrix steps
+while each step leaves off at most 0.9 times what it was, 12 steps at most.
+Passes, steps and sweeps count against the sweep cap. Below n = 16 a
+sweep's rounds cost less than the steps or passes that would replace them,
+so past the two passes it is sweeps alone.
 
 Everything is plain numpy and LAPACK on fixed orderings, so each result is
 a pure function of its input matrix: a matrix gives the same bits whether
@@ -234,46 +235,38 @@ def _all_pairs_step(a, vec=None):
 
 class Counts(NamedTuple):
     """Per matrix, as both kernels return them: the sweeps done, the final
-    off and the all-pairs steps done."""
+    off, the all-pairs steps done and the QR passes done (none two-sided)."""
 
     sweeps: np.ndarray
     off: np.ndarray
     steps: np.ndarray
+    passes: np.ndarray
 
 
-def _staged(stacks, one_sweep, one_step, off_of, tol, start, max_sweeps):
-    """The stages of the module docstring, each run per matrix by `_sweep`:
-    from n = STEP_MIN_N rows, sweeps until off is at most the larger of
-    `tol` and `start(stacks[0])`, then all-pairs steps, then sweeps to `tol`;
-    below it, sweeps alone. Sweeps and steps together stop at `max_sweeps`.
-    Returns the stack's Counts."""
-    if stacks[0].shape[1] < STEP_MIN_N:
-        sweeps, off = _sweep(stacks, one_sweep, off_of, tol, max_sweeps)
-        return Counts(sweeps, off, np.zeros(sweeps.shape, dtype=np.int64))
-    target = np.maximum(tol, start(stacks[0]))
-    first, off = _sweep(stacks, one_sweep, off_of, target, max_sweeps)
-    budget = np.minimum(STEP_CAP, max_sweeps - first)
-    steps, off = _sweep(stacks, one_step, off_of, tol, budget, STEP_SHRINK, off=off)
-    rest = max_sweeps - first - steps
-    last, off = _sweep(stacks, one_sweep, off_of, tol, rest, off=off)
-    return Counts(first + last, off, steps)
-
-
-def _step_start(a: np.ndarray) -> np.ndarray:
-    """Where the two-sided steps start: STEP_START times ||A||_F."""
-    return STEP_START * np.sqrt(np.sum(a * a, axis=(1, 2)))
+def _finished(stacks, one_step, one_sweep, off_of, tol, budget, off):
+    """The last two stages, from the known `off` of `stacks`: all-pairs steps,
+    then sweeps to `tol`, together at most `budget`. Returns (steps, sweeps, off)."""
+    cap = np.minimum(STEP_CAP, budget)
+    steps, off = _sweep(stacks, one_step, off_of, tol, cap, STEP_SHRINK, off)
+    sweeps, off = _sweep(stacks, one_sweep, off_of, tol, budget - steps, off=off)
+    return steps, sweeps, off
 
 
 def jacobi_sweeps(a, vec, tol, max_sweeps):
     """Diagonalize each symmetric matrix of the stack `a` (k, n, n) in place,
-    accumulating its rotations into the matching slice of `vec` unless `vec`
-    is None, until its off-diagonal norm is at most its own `tol[i]`, in the
-    stages of the module docstring; sweeps and steps together stop at
-    `max_sweeps`. Returns the stack's Counts."""
+    accumulating its rotations into the matching slice of `vec` unless it is
+    None, until its off-diagonal norm is at most its own `tol[i]`, in the stages
+    of the module docstring; all runs stop at `max_sweeps`. Returns Counts."""
     stacks = (a,) if vec is None else (a, vec)
-    return _staged(
-        stacks, _two_sided_sweep, _all_pairs_step, _off_norm, tol, _step_start, max_sweeps
+    if a.shape[1] < STEP_MIN_N:
+        sweeps, off = _sweep(stacks, _two_sided_sweep, _off_norm, tol, max_sweeps)
+        return Counts(sweeps, off, *np.zeros((2, *sweeps.shape), dtype=np.int64))
+    start = np.maximum(tol, STEP_START * np.sqrt(np.sum(a * a, axis=(1, 2))))
+    first, off = _sweep(stacks, _two_sided_sweep, _off_norm, start, max_sweeps)
+    steps, last, off = _finished(
+        stacks, _all_pairs_step, _two_sided_sweep, _off_norm, tol, max_sweeps - first, off
     )
+    return Counts(first + last, off, steps, np.zeros_like(steps))
 
 
 def _max_cosine(b: np.ndarray) -> np.ndarray:
@@ -304,11 +297,27 @@ def _one_sided_step(b):
     return (q.transpose(0, 2, 1) @ b,)
 
 
+def _qr_pass(b):
+    """One norm-pivoted QR pass on the stack `b` (k, r, m), r <= m: the rows
+    of each B, sorted by decreasing norm (a stable sort, so ties keep their
+    index order), give B^T P = Q R, and the pass returns (R,), r x r."""
+    order = np.argsort(-np.sum(b * b, axis=-1), axis=1, kind="stable")
+    pivoted = np.take_along_axis(b, order[:, :, None], axis=1)
+    return (np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r"),)
+
+
 def hestenes_sweeps(b, tol, max_sweeps):
-    """Orthogonalize the rows of each matrix of the stack `b` (k, r, m) in
-    place by one-sided Jacobi, until its largest row cosine is at most `tol`,
-    in the stages of the module docstring, the row count r taking the place
-    of n; the row norms are then the singular values. Returns the stack's Counts."""
-    return _staged(
-        (b,), _one_sided_sweep, _one_sided_step, _max_cosine, tol, lambda _: STEP_START, max_sweeps
+    """Orthogonalize the rows of each matrix of the stack `b` (k, r, m), r <= m,
+    by one-sided Jacobi until its largest row cosine is at most `tol`, in the
+    stages of the module docstring with r for n; runs past the first two passes
+    stop at `max_sweeps`. Returns the r x r rows and the stack's Counts."""
+    (b,) = _qr_pass(*_qr_pass(b))
+    if b.shape[1] < STEP_MIN_N:
+        sweeps, off = _sweep((b,), _one_sided_sweep, _max_cosine, tol, max_sweeps - 2)
+        return b, Counts(sweeps, off, np.zeros_like(sweeps), np.full_like(sweeps, 2))
+    cap = min(STEP_CAP, max_sweeps) - 2
+    more, off = _sweep((b,), _qr_pass, _max_cosine, np.maximum(tol, STEP_START), cap, STEP_SHRINK)
+    steps, sweeps, off = _finished(
+        (b,), _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps - 2 - more, off
     )
+    return b, Counts(sweeps, off, steps, 2 + more)

@@ -78,8 +78,15 @@ class SymmetricMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMatrix":
+        """The matrix `to_json` wrote; any other text raises ValueError."""
         obj = json.loads(text)
-        rows = np.asarray(obj["rows"], dtype=float)
+        # type(), not isinstance: a bool is an int
+        if not isinstance(obj, dict) or type(obj.get("dim")) is not int or "rows" not in obj:
+            raise ValueError('expected {"dim": <integer>, "rows": [[...], ...]}')
+        try:
+            rows = np.asarray(obj["rows"], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f'"rows" must be a matrix of numbers: {err}') from None
         if rows.shape != (obj["dim"], obj["dim"]):
             raise ValueError("rows do not match declared dim")
         return cls(rows)
@@ -172,17 +179,18 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Singular values, descending, of several same-shape matrices in one call
     of the one-sided Jacobi kernel.
 
-    Each matrix is oriented with its shorter side as rows, divided by a power
-    of two (see `_scaled`) and preconditioned by two QR factorizations (see
-    `_preconditioned`), which leave a square R with the same singular values.
-    The rows of R are rotated until |r_p . r_q| <= 1e-13 * |r_p| * |r_q| for
-    every pair; the row norms, scaled back, are the singular values, small
-    ones to high relative accuracy (Demmel & Veselic 1992; Drmac & Veselic
-    2008 for the QR preconditioning) from subnormal to near overflow. The
-    Gram matrix of the current rows only picks each round's or step's
-    rotations: no value is read from the eigenvalues of M^T M. A matrix gets
-    the same values alone or in a stack. A non-finite entry raises
-    ValueError. Hard cap of 100 sweeps and all-pairs steps together; raises
+    Each matrix is oriented with its shorter side as rows and divided by a
+    power of two (see `_scaled`). The kernel replaces it by the square R of
+    norm-pivoted QR passes, two at every size and from 16 rows more until
+    its rows are near orthogonal, which keep the singular values (Drmac &
+    Veselic 2008), and rotates the rows of R until |r_p . r_q| <= 1e-13 *
+    |r_p| * |r_q| for every pair; the row norms, scaled back, are the
+    singular values, small ones to high relative accuracy (Demmel & Veselic
+    1992) from subnormal to near overflow. The Gram matrix of the current
+    rows only picks each round's or step's rotations: no value is read from
+    the eigenvalues of M^T M. A matrix gets the same values alone or in a
+    stack. A non-finite entry raises ValueError. Hard cap of 100 passes,
+    sweeps and all-pairs steps together, past the first two passes; raises
     ConvergenceError if any matrix misses the tolerance there.
     """
     if not len(ms):
@@ -196,27 +204,10 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     if shape[0] > shape[1]:
         b = np.ascontiguousarray(b.transpose(0, 2, 1))
     b, e = _scaled(b)
-    b = _preconditioned(b)
-    off = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS).off
-    _require_converged(off, np.ones_like(off))
+    b, counts = hestenes_sweeps(b, JACOBI_TOL, MAX_SWEEPS)
+    _require_converged(counts.off, np.ones_like(counts.off))
     values = np.ldexp(np.sqrt(np.sum(b * b, axis=-1)), e[:, None])
     return list(np.sort(values, axis=1)[:, ::-1])
-
-
-def _preconditioned(b: np.ndarray) -> np.ndarray:
-    """The r x r factor R2 of each matrix B (r x m, r <= m) of the stack, from
-    two QR factorizations with a static pivot (Drmac & Veselic 2008): the
-    rows of B, sorted by decreasing norm, give B^T P1 = Q1 R1, and the rows
-    of R1, sorted the same way, give R1^T P2 = Q2 R2. R2 has B's singular
-    values, and its rows are closer to orthogonal than B's, with norms
-    nearer the singular values, so one-sided Jacobi on them takes fewer
-    sweeps. Both sorts are stable, so
-    ties keep their index order and each R2 depends on its own B only."""
-    for _ in range(2):
-        order = np.argsort(-np.sum(b * b, axis=-1), axis=1, kind="stable")
-        pivoted = np.take_along_axis(b, order[:, :, None], axis=1)
-        b = np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r")
-    return b
 
 
 def _require_converged(off: np.ndarray, scale: np.ndarray) -> None:

@@ -20,9 +20,8 @@ def random_psd(n: int, seed: int) -> SymmetricMatrix:
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Each call of either Jacobi kernel, in order, as (kernel, stack shape):
-    ("two-sided", (k, n, n)) for the eigensolver and ("one-sided", (k, r, r))
-    for the SVD, whose stack holds the square factors its QR preconditioning
-    leaves of the (k, r, m) input, r <= m."""
+    ("two-sided", (k, n, n)) for the eigensolver and ("one-sided", (k, r, m))
+    for the SVD, whose stack holds the matrices oriented with r <= m."""
     calls = []
 
     def count(name, kernel):

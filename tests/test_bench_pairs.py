@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -208,7 +209,9 @@ def test_a_failed_run_keeps_the_workloads_before_it(bench_pairs, monkeypatch, tm
     assert err.rstrip().endswith("boom at the end")
 
 
-def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
+def loaded_sides(bench_pairs):
+    """perfbench's workloads module and this checkout's package loaded twice,
+    under the names of both sides."""
     load = bench_pairs.load
     load(ROOT / "perfbench" / "oracle.py", "oracle")
     workloads = load(ROOT / "perfbench" / "workloads.py", "bench_workloads")
@@ -216,9 +219,60 @@ def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
         side: load(ROOT / "src" / "specangles", f"specangles_{side}")
         for side in ("parent", "change")
     }
+    return workloads, sides
+
+
+def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
+    workloads, sides = loaded_sides(bench_pairs)
     for name in ("campaign-large-n", "block-lemma"):
         section = bench_pairs.in_process_ab(sides, workloads, name, [1, 2], ops=3)
         assert section["same_outputs_every_operation"] is True, name
+        assert section["output_drift"]["operations_differing"] == 0
         assert section["ops_per_round"] == 3
         assert len(section["change_over_parent_per_round"]) == 2
         assert [len(section["cpu_ms_per_op"][side]) for side in ("parent", "change")] == [2, 2]
+        assert [len(section["warm_up_cpu_ms"][side]) for side in ("parent", "change")] == [2, 2]
+        assert len(section["warm_up_change_over_parent_per_round"]) == 2
+        assert section["warm_up_digests_agree"] == [True, True]
+        # the workloads module keeps the specangles it imported
+        assert workloads.run_campaign.__module__ == "specangles.campaign"
+
+
+def test_in_process_ab_says_how_the_outputs_differ(bench_pairs, monkeypatch):
+    # the change side solves by sweeps alone at every size: its n = 48 path
+    # and angle solves move by rounding, and every row keeps its verdict
+    workloads, sides = loaded_sides(bench_pairs)
+    monkeypatch.setattr(sides["change"]._jacobi, "STEP_MIN_N", 10**6)
+    section = bench_pairs.in_process_ab(sides, workloads, "campaign-large-n", [1], ops=2)
+    drift = section["output_drift"]
+    assert section["same_outputs_every_operation"] is False
+    assert drift["operations_differing"] == 2
+    assert drift["rows_keep_id_t_bound_and_verdict"] is True
+    assert 0.0 < drift["max_abs_theta_difference"] <= 1e-14
+    assert 0.0 < drift["max_abs_margin_difference"] <= 1e-14
+
+
+def test_drift_of_campaign_rows_and_block_triples(bench_pairs):
+    row = {"instance_id": "x", "t": 1.0, "theta": 0.5, "bound_name": "b", "margin": 0.25,
+           "pass": True}
+
+    def jsonl(*rows):
+        return "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+    moved = {**row, "theta": 0.5 + 2e-16, "margin": 0.25 - 1e-16}
+    flipped = {**row, "pass": False}
+    same = (jsonl(row), jsonl(row))
+    found = bench_pairs.drift(True, [same, (jsonl(row, row), jsonl(row, moved))])
+    assert found == {
+        "operations_differing": 1, "rows_keep_id_t_bound_and_verdict": True,
+        "max_abs_theta_difference": abs(0.5 - moved["theta"]),
+        "max_abs_margin_difference": abs(0.25 - moved["margin"]),
+    }
+    for changed in (jsonl(flipped), jsonl(row, row)):
+        found = bench_pairs.drift(True, [same, (jsonl(row), changed)])
+        assert found["rows_keep_id_t_bound_and_verdict"] is False
+    triple = np.array([2.0, 0.0, 4.0])
+    found = bench_pairs.drift(False, [(triple.tobytes(), np.array([2.0, 0.0, 5.0]).tobytes())])
+    assert found == {"operations_differing": 1, "max_relative_triple_difference": 0.2}
+    found = bench_pairs.drift(False, [(triple.tobytes(), triple.tobytes())])
+    assert found == {"operations_differing": 0, "max_relative_triple_difference": 0.0}

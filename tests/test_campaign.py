@@ -474,34 +474,38 @@ class TestWarmPath:
         assert cold_sweeps.mean() - warm_sweeps.mean() >= 2.0
 
     def test_preconditioning_saves_one_sided_sweeps(self, monkeypatch):
-        # the angle stacks of the instances above, against one-sided Jacobi
-        # on the same oriented, scaled products without the two QRs, recorded
-        # in the path walk
-        precond, raw = [], []
-        sweeps, precondition = core.hestenes_sweeps, core._preconditioned
+        # the angle stacks of the instances above, ten 24 x 24 products each:
+        # QR passes bring their rows near orthogonal, so every kernel call
+        # steps first and no matrix sweeps before its first step; a matrix
+        # sweeps only to finish where its steps stall, as 5 of these 180 do
+        counts, calls = [], []
+        kernel = core.hestenes_sweeps
+        sweep, step = _jacobi._one_sided_sweep, _jacobi._one_sided_step
 
-        def record_sweeps(b, *args):
-            found = sweeps(b, *args)
-            precond.append(found[0].copy())
-            return found
+        def record(b, *args):
+            calls.append([])
+            rows, found = kernel(b, *args)
+            counts.append(found)
+            return rows, found
 
-        def record_raw(b):
-            raw.append(_jacobi.hestenes_sweeps(b.copy(), core.JACOBI_TOL, core.MAX_SWEEPS)[0])
-            return precondition(b)
+        def logged(name, run):
+            return lambda b: (calls[-1].append(name), run(b))[1]
 
+        monkeypatch.setattr(core, "hestenes_sweeps", record)
+        monkeypatch.setattr(_jacobi, "_one_sided_sweep", logged("sweep", sweep))
+        monkeypatch.setattr(_jacobi, "_one_sided_step", logged("step", step))
         pairs = [(s, t) for i, s in enumerate(campaign.T_GRID) for t in campaign.T_GRID[i + 1 :]]
         for plan in GENERATED_PLANS:
             for ratio in (0.25, 0.65, 0.95):
                 for seed in (9, 10):
                     inst = campaign._build_instance(plan, 48, ratio, seed)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(core, "hestenes_sweeps", record_sweeps)
-                        patch.setattr(core, "_preconditioned", record_raw)
-                        campaign.walk_path(inst, pairs)
-        precond, raw = np.concatenate(precond), np.concatenate(raw)
-        assert precond.size == raw.size == 180
-        assert precond.mean() <= 7.0
-        assert raw.mean() - precond.mean() >= 2.0
+                    campaign.walk_path(inst, pairs)
+        assert len(calls) == 18 and all(runs[0] == "step" for runs in calls)
+        sweeps, _, steps, passes = (np.concatenate(found) for found in zip(*counts))
+        assert passes.size == 180
+        assert passes.min() >= 2 and passes.max() <= _jacobi.STEP_CAP
+        assert passes.mean() >= 4.0 and steps.mean() <= 7.0
+        assert sweeps.mean() <= 0.2 and np.sum(sweeps > 0) <= 10
 
 
 class TestAllPairsSteps:
@@ -577,23 +581,28 @@ class TestAllPairsSteps:
     @pytest.mark.parametrize("r", [15, 16])
     def test_one_sided_steps_start_at_16_rows(self, monkeypatch, r):
         # the one-sided kernel stages by its row count and returns the same
-        # Counts (sweeps, off, steps): square and wide stacks of 15 rows only
-        # sweep, of 16 rows every matrix steps, and needs fewer sweeps than
-        # sweeps alone take
+        # Counts (sweeps, off, steps, passes) with its r x r rows: square and
+        # wide stacks of 15 rows take two QR passes and sweep, of 16 rows
+        # every matrix takes more passes, then steps, and needs fewer sweeps
+        # than sweeps alone take
         for m in (r, r + 9):
             b = PortableRng(100 + m).gaussians(2 * r * m).reshape(2, r, m)
-            counts = _jacobi.hestenes_sweeps(b.copy(), 1e-13, 100)
-            sweeps, off, steps = counts
+            rows, counts = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+            sweeps, off, steps, passes = counts
             assert isinstance(counts, _jacobi.Counts) and counts[0] is counts.sweeps is sweeps
-            assert np.all(off <= 1e-13) and steps.dtype == np.int64
+            assert rows.shape == (2, r, r) and np.all(off <= 1e-13)
+            assert steps.dtype == passes.dtype == np.int64
             if r < _jacobi.STEP_MIN_N:
                 assert np.all(sweeps > 0) and steps.tolist() == [0, 0]
+                assert passes.tolist() == [2, 2]
                 continue
             assert np.all(steps > 0) and steps.max() <= _jacobi.STEP_CAP
+            assert np.all(passes > 2) and passes.max() <= _jacobi.STEP_CAP
             with monkeypatch.context() as patch:
                 patch.setattr(_jacobi, "STEP_MIN_N", r + 1)
-                alone = _jacobi.hestenes_sweeps(b.copy(), 1e-13, 100)
-            assert alone.steps.tolist() == [0, 0] and np.all(sweeps < alone.sweeps)
+                _, alone = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+            assert alone.steps.tolist() == [0, 0] and alone.passes.tolist() == [2, 2]
+            assert np.all(sweeps < alone.sweeps)
 
 
 def path_angle(inst) -> float:

@@ -1,6 +1,7 @@
 """Core linear algebra: the symmetric container, the eigensolver against an
 independent oracle, interval-set arithmetic, and spectral projectors."""
 
+import hashlib
 import math
 import struct
 import warnings
@@ -61,6 +62,27 @@ class TestSymmetricMatrix:
         m = random_symmetric(5, 77)
         again = SymmetricMatrix.from_json(m.to_json())
         assert np.array_equal(m.entries, again.entries)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",
+            '{"rows": [[1.0]]}',
+            '{"dim": 1}',
+            '{"dim": true, "rows": [[1.0]]}',
+            '{"dim": 1.0, "rows": [[1.0]]}',
+            '{"dim": "1", "rows": [[1.0]]}',
+            '{"dim": 2, "rows": [[1.0, 2.0], [3.0]]}',
+            '{"dim": 1, "rows": [[{}]]}',
+            '{"dim": 1, "rows": [["a"]]}',
+            '{"dim": 1, "rows": [[null]]}',
+            '{"dim": 2, "rows": [[1.0]]}',
+            "{",
+        ],
+    )
+    def test_from_json_refuses_anything_else_with_value_error(self, text):
+        with pytest.raises(ValueError):
+            SymmetricMatrix.from_json(text)
 
 
 class TestEigh:
@@ -134,7 +156,7 @@ class TestJacobiKernel:
         a[0, 2:, 2:] = [[3.0, 1e-3], [1e-3, 4.0]]
         vec = np.eye(4)[None].copy()
         tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
-        sweeps, off, _ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
+        sweeps, off, *_ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
         assert sweeps.tolist() == [1]
         assert off.tolist() == [0.0]
 
@@ -158,17 +180,16 @@ class TestJacobiKernel:
         a = g + g.transpose(0, 2, 1)
         vec = np.repeat(np.eye(9)[None], 4, axis=0)
         tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
-        sweeps, off, _ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
+        sweeps, off, *_ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
         assert np.all(sweeps > 0) and np.all(off <= tol)
-        b = g[:, :5].copy()
-        sweeps, off, _ = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        _, (sweeps, off, *_) = _jacobi.hestenes_sweeps(g[:, :5], 1e-13, 100)
         assert np.all(sweeps > 0) and np.all(off <= 1e-13)
 
     def test_one_sided_off_is_the_largest_row_cosine(self):
         b = PortableRng(75).gaussians(3 * 6 * 11).reshape(3, 6, 11)
         b[1] *= np.logspace(0, -9, 6)[:, None]
-        off = _jacobi.hestenes_sweeps(b, 1e-13, 100).off
-        for m, value in zip(b, off, strict=True):
+        rows, counts = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        for m, value in zip(rows, counts.off, strict=True):
             norms = np.linalg.norm(m, axis=1)
             cosines = np.abs(m @ m.T) / np.outer(norms, norms)
             oracle = cosines[~np.eye(6, dtype=bool)].max()
@@ -199,7 +220,7 @@ class TestJacobiKernel:
         b[0, 2] = [0.0, 2.0, 0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweeps, off, _ = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+            _, (sweeps, off, *_) = _jacobi.hestenes_sweeps(b, 1e-13, 100)
         assert sweeps.tolist() == [0] and off.tolist() == [0.0]
 
 
@@ -349,11 +370,11 @@ class TestSingularValuesMany:
     @pytest.mark.parametrize("r", [12, 16, 24, 32])
     def test_graded_rows_keep_their_values_through_the_steps(self, monkeypatch, r, scale):
         # B = diag(d) X with Gaussian X and d graded from 1 down to 1e-100 in
-        # groups of four equal entries, shuffled. The QR preconditioning
-        # separates the groups but leaves the rows within a group far from
-        # orthogonal (the diag(d) H rows above reach the kernel orthogonal),
-        # so the kernel rotates, and from r = 16 every matrix steps. Its
-        # values must be those of sweeps alone to the relative accuracy
+        # groups of four equal entries, shuffled. Two QR passes separate the
+        # groups but leave the rows within a group far from orthogonal (the
+        # diag(d) H rows above leave them orthogonal), so the kernel
+        # rotates, and from r = 16 every matrix steps. Its values must be
+        # those of two passes and sweeps alone to the relative accuracy
         # one-sided Jacobi gives graded rows
         rng = PortableRng(180 + r)
         ms = []
@@ -364,9 +385,9 @@ class TestSingularValuesMany:
         original = core.hestenes_sweeps
 
         def record(b, *args):
-            counts = original(b, *args)
+            rows, counts = original(b, *args)
             steps.append(counts.steps.copy())
-            return counts
+            return rows, counts
 
         monkeypatch.setattr(core, "hestenes_sweeps", record)
         stepped = singular_values_many(ms)
@@ -381,7 +402,7 @@ class TestSingularValuesMany:
     def test_one_row_has_no_rounds(self):
         assert _jacobi._pairs(1) == ()
         b = np.array([[[3.0, 4.0]], [[0.0, 0.0]]])
-        sweeps, off, _ = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        _, (sweeps, off, *_) = _jacobi.hestenes_sweeps(b, 1e-13, 100)
         assert sweeps.tolist() == [0, 0] and off.tolist() == [0.0, 0.0]
         assert [v.tolist() for v in singular_values_many(list(b))] == [[5.0], [0.0]]
         assert singular_values_many([np.array([[3.0], [4.0]])])[0].tolist() == [5.0]
@@ -414,6 +435,57 @@ class TestSingularValuesMany:
         assert singular_values_many([]) == []
         with pytest.raises(ValueError):
             singular_values_many([np.zeros((2, 3)), np.zeros((3, 2))])
+
+    def test_zero_rows_at_24_rows_give_exact_zeros(self, monkeypatch):
+        # 24 x 30 matrices with four zero rows, one with a fifth, and their
+        # transposes: the QR passes keep a zero row exactly zero, and so do
+        # the steps, whose rotations leave a zero row alone
+        g = PortableRng(79).gaussians(3 * 24 * 30).reshape(3, 24, 30)
+        g[:, [3, 10, 17, 23]] = 0.0
+        g[1, 5] = 0.0
+        counts = []
+        original = core.hestenes_sweeps
+
+        def record(b, *args):
+            rows, found = original(b, *args)
+            counts.append(found)
+            return rows, found
+
+        monkeypatch.setattr(core, "hestenes_sweeps", record)
+        for ms in (list(g), list(g.transpose(0, 2, 1))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solved = singular_values_many(ms)
+            for m, values, zeros in zip(ms, solved, (4, 5, 4), strict=True):
+                oracle = np.linalg.svd(m, compute_uv=False)
+                assert values[-zeros:].tolist() == [0.0] * zeros and values[-zeros - 1] > 0.1
+                assert np.abs(values - oracle).max() <= 1e-13 * oracle[0]
+        assert len(counts) == 2 and all(np.all(found.steps > 0) for found in counts)
+
+
+class TestPinnedSteppedKernels:
+    # from 16 rows both kernels step, through LAPACK's QR, and the one-sided
+    # kernel takes its QR passes to its steps: pinned for PINNED_BUILD and
+    # PINNED_CORE, so that a change of their bits shows
+    def test_singular_values_of_a_24_row_stack(self, pinned_build):
+        g = PortableRng(81).gaussians(4 * 24 * 30).reshape(4, 24, 30)
+        g[1] *= np.logspace(0, -12, 24)[:, None]
+        digest = hashlib.sha256()
+        for values in singular_values_many(list(g)):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "12fa4548a86533016dd58e1034c239dc23c4bffcafefea2beade1fa497950964"
+        )
+
+    def test_eigenpairs_of_an_n_24_stack(self, pinned_build):
+        ms = [random_symmetric(24, 82), random_psd(24, 83), random_symmetric(24, 84).scaled(1e-6)]
+        digest = hashlib.sha256()
+        for dec in eigh_many(ms):
+            digest.update(dec.eigenvalues.tobytes())
+            digest.update(dec.eigenvectors.tobytes())
+        assert digest.hexdigest() == (
+            "fd1bde0524216435c14d1a6e1f90df10e6f1139dc81b493bb6596fab6094cc07"
+        )
 
 
 class TestPowerOfTwoScaling:
@@ -458,7 +530,7 @@ class TestPowerOfTwoScaling:
             sym, rows = a * factor, g[:, :4] * factor
             vec = np.repeat(np.eye(7)[None], 3, axis=0)
             two = _jacobi.jacobi_sweeps(sym, vec, tol * factor, 100)
-            one = _jacobi.hestenes_sweeps(rows, 1e-13, 100)
+            rows, one = _jacobi.hestenes_sweeps(rows, 1e-13, 100)
             runs.append((sym, vec, rows, two, one))
         (sym, vec, rows, two, one), (sym_k, vec_k, rows_k, two_k, one_k) = runs
         assert np.array_equal(sym_k, sym * 2.0**k) and np.array_equal(vec_k, vec)

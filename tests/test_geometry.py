@@ -151,11 +151,10 @@ class TestAngleReportsFromBases:
         assert report.sines.tolist() == [0.0] * 4
 
     def test_one_kernel_call_per_stack(self, kernel_calls):
-        # three 5 x 4 products, oriented 4 x 5, reach the kernel as the
-        # 4 x 4 factors of their QR preconditioning
+        # three 5 x 4 products reach the kernel oriented 4 x 5
         planes = [range_bases(haar_projector(9, 4, seed)) for seed in range(4)]
         angle_reports(list(zip(planes, planes[1:])))
-        assert kernel_calls == [("one-sided", (3, 4, 4))]
+        assert kernel_calls == [("one-sided", (3, 4, 5))]
 
     def test_bit_identical_pairs_make_no_kernel_call(self, kernel_calls):
         planes = [range_bases(haar_projector(6, 3, seed)) for seed in range(3)]
@@ -166,13 +165,13 @@ class TestAngleReportsFromBases:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_k_distinct_pairs_make_one_call_of_stack_k(self, kernel_calls, k):
         # distinct pairs between identical ones: only the distinct form 5 x 3
-        # products, which reach the kernel as 3 x 3 factors, in pair order
+        # products, which reach the kernel oriented 3 x 5, in pair order
         planes = [range_bases(haar_projector(8, 3, 400 + seed)) for seed in range(k + 1)]
         pairs = []
         for s, t in zip(planes, planes[1:]):
             pairs += [(s, s), (s, t)]
         reports = angle_reports(pairs)
-        assert kernel_calls == [("one-sided", (k, 3, 3))]
+        assert kernel_calls == [("one-sided", (k, 3, 5))]
         for pair, report in zip(pairs, reports, strict=True):
             assert np.array_equal(report.sines, angle_reports([pair])[0].sines)
 

@@ -9,12 +9,14 @@ each workload, written as a BENCH file:
 Per workload, first the pairs: per seed, one run of `python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0` in each checkout, the parent first
 on odd seeds. Then the A/B: both checkouts' `src/specangles` are imported into
-this process under two names; per seed, round 0 of the workload (inputs from
-the change checkout's `perfbench/workloads.py`, rebuilt with each side's
-classes) runs once a side to warm up, then each operation is timed with
-`time.process_time` on both sides in turn, the first side swapped each
-operation, and the outputs are compared. Host drift then reaches both sides
-alike, where processes run minutes apart can differ by 2x.
+this process under two names, and the change checkout's
+`perfbench/workloads.py` runs on each side with its specangles names bound to
+that side's. Per seed, round 0 of the workload runs once a side to warm up;
+then the workload's warm-up (what `setup_s` times, less the imports) is timed
+with `time.process_time` once a side, in turn; then each operation is timed
+on both sides in turn, the first side swapped each operation, and the
+outputs are compared: where they differ, the file says how. Host drift then
+reaches both sides alike, where processes run minutes apart can differ by 2x.
 
 The end-to-end metrics, their better direction and bound come from the change
 checkout's BENCHMARK.json. The file gets the keys `environment`, `parent`,
@@ -26,7 +28,9 @@ and keeps its other keys. It is written after each workload, so a failed run
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -175,53 +179,120 @@ def load(path: Path, name: str):
     return module
 
 
+@contextlib.contextmanager
+def bound_to(workloads, pkg):
+    """The workloads module with each name it took from `specangles` bound to
+    its namesake in package `pkg`, so that its own code runs on that side;
+    the names are restored on exit."""
+    def home(value):
+        name = value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None)
+        return name if isinstance(name, str) and name.split(".")[0] == "specangles" else None
+
+    saved = {key: value for key, value in vars(workloads).items() if home(value)}
+    for key, value in saved.items():
+        module = sys.modules[pkg.__name__ + home(value).removeprefix("specangles")]
+        if not inspect.ismodule(value):
+            module = getattr(module, value.__name__)
+        setattr(workloads, key, module)
+    try:
+        yield workloads
+    finally:
+        for key, value in saved.items():
+            setattr(workloads, key, value)
+
+
 def round_of(pkg, workloads, name: str, seed: int, ops: int | None) -> tuple[list, object]:
     """The first `ops` operations (default: all) of round 0 of workload `name`
     for benchmark seed `seed`, rebuilt with the classes of package `pkg`, and
     the function that gives an operation's output as the bytes compared."""
-    workload = workloads.make(name, seed)
-    if workload.campaign:
-        c = workload.config(0)
-        trials = pkg.run_campaign(pkg.CampaignConfig.from_dict({
-            "trials": c.trials, "n": list(c.ns), "plans": list(c.plans),
-            "v_ratios": list(c.v_ratios), "seeds": list(c.seeds), "tolerances": c.tolerances,
-        }))
-        return [lambda: next(trials)] * (ops or c.trials), lambda r: pkg.rows_jsonl([r]).encode()
-    draws = (workloads.block_draw(i, workload.seed_base)
-             for i in range(ops or workloads.BLOCK_DRAWS))
-    rebuilt = [(pkg.SymmetricMatrix(v.entries),
-                pkg.Projector(pkg.SymmetricMatrix(q.matrix.entries), rank=q.rank))
-               for v, q in draws]
-    return ([lambda v=v, q=q: pkg.psd_block_bounds(v, q) for v, q in rebuilt],
+    with bound_to(workloads, pkg):
+        workload = workloads.make(name, seed)
+        if workload.campaign:
+            config = workload.config(0)
+            trials = pkg.run_campaign(config)
+            return ([lambda: next(trials)] * (ops or config.trials),
+                    lambda report: pkg.rows_jsonl([report]).encode())
+        count = ops or workloads.BLOCK_DRAWS
+        draws = [workloads.block_draw(i, workload.seed_base) for i in range(count)]
+    return ([lambda v=v, q=q: pkg.psd_block_bounds(v, q) for v, q in draws],
             lambda triple: np.asarray(triple).tobytes())
+
+
+def timed_warm_up(pkg, workloads, name: str, seed: int) -> tuple[float, str]:
+    """CPU seconds of workload `name`'s warm-up for benchmark seed `seed`, run
+    by perfbench's own code with package `pkg`, and its digest."""
+    with bound_to(workloads, pkg):
+        workload = workloads.make(name, seed)
+        start = time.process_time()
+        digest = workload.warm_up()
+        return time.process_time() - start, digest
+
+
+KEPT = ("instance_id", "t", "bound_name", "pass")
+
+
+def drift(campaign: bool, outputs: list[tuple[bytes, bytes]]) -> dict:
+    """How the (parent, change) output bytes of each operation differ: the
+    operations that differ and, over them, for campaign rows whether every row
+    keeps its KEPT fields and the largest |delta theta| and |delta margin|,
+    for block-lemma triples the largest relative difference of an entry."""
+    differ = [pair for pair in outputs if pair[0] != pair[1]]
+    found = {"operations_differing": len(differ)}
+    if not campaign:
+        worst = 0.0
+        for pair in differ:
+            p, c = (np.frombuffer(side) for side in pair)
+            scale = np.maximum(np.abs(p), np.abs(c))
+            gap = np.divide(np.abs(c - p), scale, out=np.zeros_like(p), where=scale > 0.0)
+            worst = max(worst, float(np.max(gap)))
+        return {**found, "max_relative_triple_difference": worst}
+    kept, theta, margin = True, 0.0, 0.0
+    for pair in differ:
+        p, c = ([json.loads(line) for line in side.decode().splitlines()] for side in pair)
+        kept = kept and len(p) == len(c) and all(a[k] == b[k] for a, b in zip(p, c) for k in KEPT)
+        for a, b in zip(p, c):
+            theta = max(theta, abs(a["theta"] - b["theta"]))
+            margin = max(margin, abs(a["margin"] - b["margin"]))
+    return {**found, "rows_keep_id_t_bound_and_verdict": kept,
+            "max_abs_theta_difference": theta, "max_abs_margin_difference": margin}
 
 
 def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None) -> dict:
     """CPU milliseconds per operation on each side, one round per seed, and
-    whether both sides gave the same output bytes on every operation."""
+    how the sides' outputs differ; and the CPU milliseconds of each side's
+    warm-up, timed in turn once per seed after a warm pass, with its digest."""
     ms = {side: [] for side in SIDES}
-    ratios, same = [], True
+    warm = {side: [] for side in SIDES}
+    ratios, warm_ratios, digests_agree, outputs = [], [], [], []
     for seed in seeds:
         for pkg in sides.values():  # warm pass
             for run in round_of(pkg, workloads, name, seed, ops)[0]:
                 run()
+        digests = {}
+        for side in SIDES if seed % 2 else SIDES[::-1]:
+            spent, digests[side] = timed_warm_up(sides[side], workloads, name, seed)
+            warm[side].append(round(1e3 * spent, 4))
+        warm_ratios.append(round(warm["change"][-1] / warm["parent"][-1], 4))
+        digests_agree.append(digests["parent"] == digests["change"])
         work = {side: round_of(pkg, workloads, name, seed, ops) for side, pkg in sides.items()}
         spent = dict.fromkeys(SIDES, 0.0)
         count = len(work["parent"][0])
         for i in range(count):
-            outputs = {}
+            found = {}
             for side in SIDES if i % 2 else SIDES[::-1]:
                 run, encode = work[side][0][i], work[side][1]
                 start = time.process_time()
-                found = run()
+                out = run()
                 spent[side] += time.process_time() - start
-                outputs[side] = encode(found)
-            same = same and outputs["parent"] == outputs["change"]
+                found[side] = encode(out)
+            outputs.append((found["parent"], found["change"]))
         for side in SIDES:
             ms[side].append(round(1e3 * spent[side] / count, 4))
         ratios.append(round(spent["change"] / spent["parent"], 4))
         print(f"{name} A/B seed {seed}: parent {ms['parent'][-1]} ms/op, change "
-              f"{ms['change'][-1]} ms/op, ratio {ratios[-1]}", file=sys.stderr)
+              f"{ms['change'][-1]} ms/op, ratio {ratios[-1]}; warm-up ratio "
+              f"{warm_ratios[-1]}", file=sys.stderr)
+    differences = drift(workloads.make(name, seeds[0]).campaign, outputs)
     return {
         "seeds": seeds,
         "ops_per_round": count,
@@ -229,7 +300,12 @@ def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None)
         "change_over_parent_per_round": ratios,
         "change_over_parent_median": statistics.median(ratios),
         "change_slower_in": f"{sum(x > 1.0 for x in ratios)} of {len(ratios)} rounds",
-        "same_outputs_every_operation": same,
+        "warm_up_cpu_ms": warm,
+        "warm_up_change_over_parent_per_round": warm_ratios,
+        "warm_up_change_over_parent_median": statistics.median(warm_ratios),
+        "warm_up_digests_agree": digests_agree,
+        "same_outputs_every_operation": differences["operations_differing"] == 0,
+        "output_drift": differences,
     }
 
 
