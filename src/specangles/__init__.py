@@ -78,6 +78,7 @@ from .campaign import (
     CampaignConfig,
     ConfigError,
     TrialReport,
+    build_instance,
     rows_jsonl,
     rows_of,
     run_campaign,

@@ -19,28 +19,29 @@ eigenvectors are optional: given a stack of them, the kernel accumulates
 each rotation into it; given None, it carries A alone. The rotations of A
 never read the vectors, so A takes the same bits either way.
 `hestenes_sweeps` is the one-sided (Hestenes 1958) SVD, the same iteration
-on the Gram matrix B B^T applied from one side: a round reads its pivots
-from the Gram matrix of the current rows and applies J^T B, which keeps
-small singular values to high relative accuracy (Demmel & Veselic 1992).
-Its off is the largest row cosine |b_p . b_q| / (|b_p| |b_q|), a zero row
-counting as orthogonal; at convergence the row norms are the singular values.
-It first takes two norm-pivoted QR passes (`_qr_pass`; Drmac & Veselic
-2008), which leave a square R with the singular values of the r x m matrix
-B (r <= m) and rows closer to orthogonal than those of B.
+on the Gram matrix G = B B^T applied from one side: it carries G beside B
+as the two-sided kernel carries A, reads each rotation from G and applies
+it as J^T B, which keeps small singular values to high relative accuracy
+(Demmel & Veselic 1992), and forms G once from each new B. Its off is the
+largest row cosine |g_pq| / sqrt(g_pp g_qq), a zero row counting as
+orthogonal; at convergence the row norms are the singular values. It first
+takes two norm-pivoted QR passes (`_qr_pass`; Drmac & Veselic 2008), which
+leave a square R with the singular values of the r x m matrix B (r <= m)
+and rows closer to orthogonal than those of B.
 
-From n = 16 rows both kernels finish a matrix in three stages, each run per
-matrix by `_sweep`. The first brings off to 0.25 ||A||_F by sweeps
-(two-sided), or the largest row cosine to 0.25 by more QR passes until a
-pass leaves it above 0.9 times what it was or 12 are done (one-sided).
-`_finished` then runs all-pairs steps and sweeps to the tolerance. A step
-takes the `_tangent` of every pair p < q at once from the diagonal and
-pivots of A or of B B^T, orthonormalizes the identity plus their skew
-generator by one QR (Davies & Modi 1986) and applies Q as Q^T A Q or Q^T B:
-one QR and a few products where a sweep takes n - 1 rounds. A matrix steps
-while each step leaves off at most 0.9 times what it was, 12 steps at most.
-Passes, steps and sweeps count against the sweep cap. Below n = 16 a
-sweep's rounds cost less than the steps or passes that would replace them,
-so past the two passes it is sweeps alone.
+The two-sided kernel from n = 16, and the one-sided kernel at every r,
+finish a matrix in three stages, each run per matrix by `_sweep`. The first
+brings off to 0.25 ||A||_F by sweeps (two-sided), or the largest row cosine
+to 0.25 by more QR passes until a pass leaves it above 0.9 times what it was
+or 12 are done (one-sided). `_finished` then runs all-pairs steps and sweeps
+to the tolerance. A step takes the `_tangent` of every pair p < q at once
+from the diagonal and pivots of A or G, orthonormalizes the identity plus
+their skew generator by one Householder QR (Davies & Modi 1986), whatever
+the signs of R's diagonal, and applies Q as Q^T A Q or Q^T B: one QR and a
+few products where a sweep takes n - 1 rounds. A matrix steps while each
+step leaves off at most 0.9 times what it was, 12 steps at most. Passes,
+steps and sweeps count against the sweep cap. Below n = 16 two-sided sweeps
+cost less than the stages that would replace them, so there it sweeps alone.
 
 Everything is plain numpy and LAPACK on fixed orderings, so each result is
 a pure function of its input matrix: a matrix gives the same bits whether
@@ -208,8 +209,11 @@ def _all_pairs(n: int) -> np.ndarray:
 def _step_rotation(g):
     """The orthogonal Q of one all-pairs step on the symmetric stack `g`: the
     `_tangent` t_pq of every pair p < q gives the skew generator K (K_pq =
-    t_pq, K_qp = -t_pq), and Q comes from I + K = QR with R's diagonal
-    positive."""
+    t_pq, K_qp = -t_pq), and Q is the Householder Q of I + K = QR, whatever
+    the signs of R's diagonal: a +-1 diagonal D commutes with `_tangent`,
+    Householder QR and the rounds (the Q of D G D is D Q D), so these signs
+    flip only eigenvector columns, which `core.decompositions` signs, or
+    rows of B, and move no diagonal, off or count."""
     k, n, _ = g.shape
     offsets = _all_pairs(n)
     pairs = len(offsets) // 3
@@ -219,8 +223,7 @@ def _step_rotation(g):
         entries[:, :pairs], entries[:, pairs : 2 * pairs], entries[:, 2 * pairs :]
     )
     upper = upper.reshape(k, n, n)
-    rot, r = np.linalg.qr(np.eye(n) + upper - upper.transpose(0, 2, 1))
-    return rot * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    return np.linalg.qr(np.eye(n) + upper - upper.transpose(0, 2, 1)).Q
 
 
 def _all_pairs_step(a, vec=None):
@@ -269,55 +272,55 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
     return Counts(first + last, off, steps, np.zeros_like(steps))
 
 
-def _max_cosine(b: np.ndarray) -> np.ndarray:
-    """Largest row cosine |b_p . b_q| / (|b_p| |b_q|), p != q, of each matrix
-    in the stack; 0 for a pair with a zero row and with fewer than two rows."""
-    gram = b @ b.transpose(0, 2, 1)
-    norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+def _max_cosine(g: np.ndarray) -> np.ndarray:
+    """Largest row cosine |g_pq| / sqrt(g_pp g_qq), p != q, of each Gram matrix
+    in the stack `g`; 0 for a pair with a zero row and with fewer than two rows."""
+    norms = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
     scale = norms[:, :, None] * norms[:, None, :]
-    cos = np.divide(np.abs(gram), scale, out=np.zeros_like(gram), where=scale > 0.0)
+    cos = np.divide(np.abs(g), scale, out=np.zeros_like(g), where=scale > 0.0)
     return np.max(_off_diagonal(cos), axis=(1, 2), initial=0.0)
 
 
-def _one_sided_sweep(b):
-    """One sweep of J^T B rounds on the stack `b`, each J read from B B^T."""
+def _gram(b):
+    """(B B^T, B): the stacks every one-sided stage takes and returns."""
+    return b @ b.transpose(0, 2, 1), b
+
+
+def _one_sided_sweep(g, b):
+    """One sweep of J^T B rounds on the stacks (G, B), each J read from G."""
     k, r, _ = b.shape
     for pivots in _pairs(r):
         pairs = len(pivots) // 4
-        g = (b @ b.transpose(0, 2, 1)).reshape(k, r * r)[:, pivots[: 3 * pairs]]
-        _, c, s = _rotation(g[:, :pairs], g[:, pairs : 2 * pairs], g[:, 2 * pairs :])
-        b = _block_rotation(r, pivots, c, s).transpose(0, 2, 1) @ b
-    return (b,)
+        e = g.reshape(k, r * r)[:, pivots[: 3 * pairs]]
+        _, c, s = _rotation(e[:, :pairs], e[:, pairs : 2 * pairs], e[:, 2 * pairs :])
+        g, b = _gram(_block_rotation(r, pivots, c, s).transpose(0, 2, 1) @ b)
+    return g, b
 
 
-def _one_sided_step(b):
-    """One all-pairs step on the stack `b`: the Q of `_step_rotation` on the
-    Gram matrix B B^T applies as Q^T B."""
-    q = _step_rotation(b @ b.transpose(0, 2, 1))
-    return (q.transpose(0, 2, 1) @ b,)
+def _one_sided_step(g, b):
+    """One all-pairs step on the stacks (G, B): Q^T B, Q from `_step_rotation(G)`."""
+    return _gram(_step_rotation(g).transpose(0, 2, 1) @ b)
 
 
-def _qr_pass(b):
-    """One norm-pivoted QR pass on the stack `b` (k, r, m), r <= m: the rows
-    of each B, sorted by decreasing norm (a stable sort, so ties keep their
-    index order), give B^T P = Q R, and the pass returns (R,), r x r."""
+def _qr_pass(g, b):
+    """One norm-pivoted QR pass on the stack `b` (k, r, m), r <= m, `g` unread:
+    the rows of each B, sorted by decreasing norm (a stable sort, so ties keep
+    their index order), give B^T P = Q R, and it returns (R R^T, R), r x r."""
     order = np.argsort(-np.sum(b * b, axis=-1), axis=1, kind="stable")
     pivoted = np.take_along_axis(b, order[:, :, None], axis=1)
-    return (np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r"),)
+    return _gram(np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r"))
 
 
 def hestenes_sweeps(b, tol, max_sweeps):
     """Orthogonalize the rows of each matrix of the stack `b` (k, r, m), r <= m,
-    by one-sided Jacobi until its largest row cosine is at most `tol`, in the
-    stages of the module docstring with r for n; runs past the first two passes
-    stop at `max_sweeps`. Returns the r x r rows and the stack's Counts."""
-    (b,) = _qr_pass(*_qr_pass(b))
-    if b.shape[1] < STEP_MIN_N:
-        sweeps, off = _sweep((b,), _one_sided_sweep, _max_cosine, tol, max_sweeps - 2)
-        return b, Counts(sweeps, off, np.zeros_like(sweeps), np.full_like(sweeps, 2))
-    cap = min(STEP_CAP, max_sweeps) - 2
-    more, off = _sweep((b,), _qr_pass, _max_cosine, np.maximum(tol, STEP_START), cap, STEP_SHRINK)
+    by one-sided Jacobi until its largest row cosine is at most `tol`, at every
+    r in the stages of the module docstring: passes, steps, and sweeps where
+    steps stall (only sweeps past two passes at STEP_CAP = 0). Runs past the
+    first two passes stop at `max_sweeps`. Returns the r x r rows and Counts."""
+    stacks = _qr_pass(*_qr_pass(None, b))
+    cap, start = min(STEP_CAP, max_sweeps) - 2, np.maximum(tol, STEP_START)
+    more, off = _sweep(stacks, _qr_pass, _max_cosine, start, cap, STEP_SHRINK)
     steps, sweeps, off = _finished(
-        (b,), _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps - 2 - more, off
+        stacks, _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps - 2 - more, off
     )
-    return b, Counts(sweeps, off, steps, 2 + more)
+    return stacks[1], Counts(sweeps, off, steps, 2 + more)

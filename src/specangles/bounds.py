@@ -27,6 +27,7 @@ from .core import (
     Projector,
     SpectralDecomposition,
     SymmetricMatrix,
+    _solved_diagonals,
     decompositions,
     eigh_many,
     membership_tol,
@@ -176,14 +177,15 @@ class PerturbationInstance:
         in [0, 1].
 
         t = 0 is dec_a. Every other t is solved warm, in one kernel call, as
-        M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors, and lifted
-        back as Q*X by core.decompositions; the eigenvalues are M_t's. The
-        off-diagonal part of M_t is about t times that of Q^T V Q, so Jacobi
-        starts near the diagonal, where cyclic Jacobi converges quadratically
-        (Henrici 1958). Q^T A Q is formed, not taken as diag(lambda): assemble
-        accepts a dec_a with a residual up to membership_tol(||A||_F), and
-        only the formed product keeps the lifted pairs those of the stored
-        A + tV. A t gets the same bits alone as inside a larger set.
+        M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors: M_t's values
+        and its rotations X, lifted as Q*X, are ordered and signed once, by
+        `core.decompositions`. The off-diagonal part of M_t is about t times
+        that of Q^T V Q, so Jacobi starts near the diagonal, where cyclic
+        Jacobi converges quadratically (Henrici 1958). Q^T A Q is formed, not
+        taken as diag(lambda): assemble accepts a dec_a with a residual up to
+        membership_tol(||A||_F), and only the formed product keeps the lifted
+        pairs those of the stored A + tV. A t gets the same bits alone as
+        inside a larger set.
         """
         times = list(dict.fromkeys(times))
         if not all(0.0 <= t <= 1.0 for t in times):
@@ -193,9 +195,9 @@ class PerturbationInstance:
             q = self.dec_a.eigenvectors
             qaq = SymmetricMatrix(q.T @ self.a.entries @ q)
             qvq = SymmetricMatrix(q.T @ self.v.entries @ q)
-            solved = eigh_many([qaq + qvq.scaled(t) for t in later])
-            w = np.array([dec.eigenvalues for dec in solved])
-            lifted = iter(decompositions(w, np.array([q @ dec.eigenvectors for dec in solved])))
+            x = np.repeat(np.eye(q.shape[0])[None], len(later), axis=0)
+            w = _solved_diagonals([qaq + qvq.scaled(t) for t in later], x)
+            lifted = iter(decompositions(w, q @ x))
         return {t: self.dec_a if t == 0.0 else next(lifted) for t in times}
 
 

@@ -241,12 +241,14 @@ def _plan_for(name: str, n: int) -> SpecPlan:
     return convex_plan(n)
 
 
-def _build_instance(name: str, n: int, v_ratio: float, seed: int) -> PerturbationInstance:
-    if name == "sharpness":
+def build_instance(plan: str, n: int, v_ratio: float, seed: int) -> PerturbationInstance:
+    """The instance, bit for bit, of the trial whose `CampaignConfig.schedule`
+    entry is (seed, plan, n, v_ratio): any trial can be rebuilt from it alone."""
+    if plan == "sharpness":
         return sharpness_pair(v_ratio)
-    if name == "rank-one":
+    if plan == "rank-one":
         return rank_one_instance(n, convex_plan(n), v_ratio, seed)
-    return random_instance(n, _plan_for(name, n), v_ratio, seed)
+    return random_instance(n, _plan_for(plan, n), v_ratio, seed)
 
 
 def walk_path(
@@ -267,7 +269,7 @@ def _measure_trial(
     config: CampaignConfig, name: str, n: int, v_ratio: float, seed: int
 ) -> TrialReport:
     started = time.perf_counter()
-    inst = _build_instance(name, n, v_ratio, seed)
+    inst = build_instance(name, n, v_ratio, seed)
     pairs = [(s, t) for i, s in enumerate(T_GRID) for t in T_GRID[i + 1 :]]
     decs, reports = walk_path(inst, pairs)
     angles = dict(zip(pairs, reports))

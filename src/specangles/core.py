@@ -180,17 +180,16 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     of the one-sided Jacobi kernel.
 
     Each matrix is oriented with its shorter side as rows and divided by a
-    power of two (see `_scaled`). The kernel replaces it by the square R of
-    norm-pivoted QR passes, two at every size and from 16 rows more until
-    its rows are near orthogonal, which keep the singular values (Drmac &
-    Veselic 2008), and rotates the rows of R until |r_p . r_q| <= 1e-13 *
-    |r_p| * |r_q| for every pair; the row norms, scaled back, are the
-    singular values, small ones to high relative accuracy (Demmel & Veselic
-    1992) from subnormal to near overflow. The Gram matrix of the current
-    rows only picks each round's or step's rotations: no value is read from
-    the eigenvalues of M^T M. A matrix gets the same values alone or in a
-    stack. A non-finite entry raises ValueError. Hard cap of 100 passes,
-    sweeps and all-pairs steps together, past the first two passes; raises
+    power of two (see `_scaled`). At every size the kernel replaces it by the
+    square R of norm-pivoted QR passes, which keep the singular values (Drmac
+    & Veselic 2008), and rotates the rows of R by all-pairs steps, and sweeps
+    where they stall, until |r_p . r_q| <= 1e-13 |r_p| |r_q| for every pair.
+    The row norms, scaled back, are the singular values, small ones to high
+    relative accuracy (Demmel & Veselic 1992) from subnormal to near
+    overflow; the Gram matrix of the rows only picks the rotations, and no
+    value is read from the eigenvalues of M^T M. A matrix gets the same
+    values alone or in a stack. A non-finite entry raises ValueError. Hard
+    cap of 100 passes, steps and sweeps past the first two passes; raises
     ConvergenceError if any matrix misses the tolerance there.
     """
     if not len(ms):
@@ -229,16 +228,9 @@ def decompositions(w: np.ndarray, vec: np.ndarray) -> list[SpectralDecomposition
     w = np.take_along_axis(w, order, axis=1)
     vec = np.take_along_axis(vec, order[:, None, :], axis=2)
     lead = np.argmax(np.abs(vec), axis=1)
-    signs = np.where(np.take_along_axis(vec, lead[:, None, :], axis=1) < 0.0, -1.0, 1.0)
-    vec = vec * signs
-    decs = []
-    for values, vectors in zip(w, vec):
-        values = values.copy()
-        vectors = vectors.copy()
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        decs.append(SpectralDecomposition(eigenvalues=values, eigenvectors=vectors))
-    return decs
+    vec = vec * np.where(np.take_along_axis(vec, lead[:, None, :], axis=1) < 0.0, -1.0, 1.0)
+    w.flags.writeable = vec.flags.writeable = False  # and so each view below
+    return [SpectralDecomposition(values, vectors) for values, vectors in zip(w, vec)]
 
 
 @dataclass(frozen=True, eq=False)

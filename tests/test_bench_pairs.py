@@ -3,11 +3,13 @@ ranges it cannot summarize, the file it writes from stubbed runs, and its
 in-process A/B on a few operations with this checkout on both sides.
 tools/bench_pairs.py is loaded by path; no benchmark process is started."""
 
+import contextlib
 import importlib.util
 import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -238,11 +240,46 @@ def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
         assert workloads.run_campaign.__module__ == "specangles.campaign"
 
 
+def test_warm_up_is_timed_five_times_a_side_in_turn(bench_pairs, monkeypatch):
+    # a scripted CPU clock: each warm-up advances it by its side's next cost,
+    # so the median of each side's five runs is known
+    costs = {"parent": [5.0, 1.0, 3.0, 2.0, 4.0], "change": [9.0, 1.0, 1.0, 8.0, 1.0]}
+    clock, order = [0.0], []
+
+    class Workload:
+        def __init__(self, side):
+            self.side = side
+
+        def warm_up(self):
+            order.append(self.side)
+            clock[0] += costs[self.side][order.count(self.side) - 1]
+            # the change's fifth warm-up gives another digest
+            return "other" if order.count(self.side) == 5 and self.side == "change" else "same"
+
+    @contextlib.contextmanager
+    def bound(workloads, pkg):
+        workloads.side = pkg
+        yield workloads
+
+    workloads = types.SimpleNamespace()
+    workloads.make = lambda name, seed: Workload(workloads.side)
+    monkeypatch.setattr(bench_pairs, "bound_to", bound)
+    monkeypatch.setattr(bench_pairs.time, "process_time", lambda: clock[0])
+    sides = {"parent": "parent", "change": "change"}
+    for seed, first, second in ((1, "parent", "change"), (2, "change", "parent")):
+        order.clear()
+        spent, digests = bench_pairs.timed_warm_up(sides, workloads, "w", seed)
+        assert order == [first, second] * 5
+        assert spent == {"parent": 3.0, "change": 1.0}
+        assert digests == {"parent": {"same"}, "change": {"same", "other"}}
+
+
 def test_in_process_ab_says_how_the_outputs_differ(bench_pairs, monkeypatch):
-    # the change side solves by sweeps alone at every size: its n = 48 path
-    # and angle solves move by rounding, and every row keeps its verdict
+    # the change side takes no all-pairs step (a step cap of 0), so it
+    # solves by sweeps alone past the QR passes: its n = 48 path and angle
+    # solves move by rounding, and every row keeps its verdict
     workloads, sides = loaded_sides(bench_pairs)
-    monkeypatch.setattr(sides["change"]._jacobi, "STEP_MIN_N", 10**6)
+    monkeypatch.setattr(sides["change"]._jacobi, "STEP_CAP", 0)
     section = bench_pairs.in_process_ab(sides, workloads, "campaign-large-n", [1], ops=2)
     drift = section["output_drift"]
     assert section["same_outputs_every_operation"] is False

@@ -32,6 +32,7 @@ from specangles import (
     ConfigError,
     ROW_FIELDS,
     TrialReport,
+    build_instance,
     rows_jsonl,
     rows_of,
     run_campaign,
@@ -283,16 +284,41 @@ class TestRunCampaign:
         assert rows_jsonl(reports) == again
 
     def test_elapsed_includes_instance_build(self, reports, monkeypatch):
-        build = campaign._build_instance
+        build = campaign.build_instance
 
         def slow_build(*args):
             time.sleep(0.05)
             return build(*args)
 
-        monkeypatch.setattr(campaign, "_build_instance", slow_build)
+        monkeypatch.setattr(campaign, "build_instance", slow_build)
         slow = list(run_campaign(small_config()))
         assert all(r.elapsed_s >= 0.05 for r in slow)
         assert rows_jsonl(slow) == rows_jsonl(reports)
+
+    def test_each_trial_is_rebuilt_from_its_schedule_entry(self, monkeypatch):
+        # build_instance turns a schedule entry into the instance its trial
+        # measured: the report's id and the A and V bytes, for every plan at
+        # two sizes, so a check outside the run can rebuild any trial
+        built = []
+
+        def record(*args):
+            built.append(build_instance(*args))
+            return built[-1]
+
+        monkeypatch.setattr(campaign, "build_instance", record)
+        plans = list(campaign.PLAN_NAMES)
+        config = CampaignConfig.from_dict(
+            {"trials": 16, "n": [6, 16], "plans": plans, "v_ratios": [0.5, 0.9]}
+        )
+        reports = list(run_campaign(config))
+        found = {(plan, n) for _, plan, n, _ in config.schedule}
+        assert found == {(plan, n) for plan in plans for n in (6, 16)}
+        for entry, report, inst in zip(config.schedule, reports, built, strict=True):
+            seed, plan, n, v_ratio = entry
+            again = build_instance(plan, n, v_ratio, seed)
+            assert again.label == report.instance_id == inst.label
+            assert again.a.entries.tobytes() == inst.a.entries.tobytes()
+            assert again.v.entries.tobytes() == inst.v.entries.tobytes()
 
     def test_kernel_calls_per_trial(self, kernel_calls):
         # every plan: the path in the one two-sided call and the ten 2 x 2
@@ -323,7 +349,7 @@ class TestWalkPath:
         # Weyl's interlacing keeps omega_t at sigma's indices; the old
         # classification against the two enlarged sets must agree with it,
         # also on the doubly-interleaved plan's exact eigenvalue clusters
-        inst = campaign._build_instance(plan, n, 0.95, 400 + n)
+        inst = campaign.build_instance(plan, n, 0.95, 400 + n)
         decs, _ = campaign.walk_path(inst, list(zip(campaign.T_GRID, campaign.T_GRID[1:])))
         assert list(decs) == list(campaign.T_GRID)
         for t, dec in decs.items():
@@ -341,7 +367,7 @@ class TestWalkPath:
                 assert other.distance_to_point(float(lam)) > tol
 
     def test_one_path_call_for_distinct_times(self, kernel_calls):
-        inst = campaign._build_instance("convex-separated", 6, 0.5, 3)
+        inst = campaign.build_instance("convex-separated", 6, 0.5, 3)
         kernel_calls.clear()
         campaign.walk_path(inst, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
         assert kernel_calls == [("two-sided", (2, 6, 6)), ("one-sided", (3, 3, 3))]
@@ -353,7 +379,7 @@ class TestSpectra:
     @pytest.mark.parametrize("n, ratio, seed", [(8, 0.65, 77), (24, 0.95, 3)])
     @pytest.mark.parametrize("plan", campaign.PLAN_NAMES)
     def test_one_t_alone_has_the_bits_it_has_in_a_set(self, plan, n, ratio, seed):
-        inst = campaign._build_instance(plan, n, ratio, seed)
+        inst = campaign.build_instance(plan, n, ratio, seed)
         pairs = [(0.0, 0.5), (0.5, 1.0), (0.25, 0.25), (0.0, 1.0)]
         decs, reports = campaign.walk_path(inst, pairs)
         assert list(decs) == [0.0, 0.5, 1.0, 0.25]
@@ -368,7 +394,7 @@ class TestSpectra:
         assert reports[2].sines.tolist() == [0.0] * inst.a.dim
 
     def test_repeated_t_is_solved_once(self, kernel_calls):
-        inst = campaign._build_instance("convex-separated", 6, 0.5, 3)
+        inst = campaign.build_instance("convex-separated", 6, 0.5, 3)
         kernel_calls.clear()
         decs = inst.spectra([0.5, 0.0, 1.0, 0.5, 0.25, 1.0, 0.0])
         assert list(decs) == [0.5, 0.0, 1.0, 0.25]
@@ -377,7 +403,7 @@ class TestSpectra:
 
     @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
     def test_t_is_checked_before_any_solve(self, kernel_calls, bad):
-        inst = campaign._build_instance("convex-separated", 8, 0.5, 3)
+        inst = campaign.build_instance("convex-separated", 8, 0.5, 3)
         kernel_calls.clear()
         with pytest.raises(ValueError, match="t must lie in"):
             inst.spectra([0.5, bad])
@@ -403,7 +429,7 @@ class TestWarmPath:
     @pytest.mark.parametrize("n", [8, 48])
     @pytest.mark.parametrize("plan", GENERATED_PLANS)
     def test_lifted_pairs_solve_the_stored_matrix(self, plan, n, ratio):
-        inst = campaign._build_instance(plan, n, ratio, 500 + n)
+        inst = campaign.build_instance(plan, n, ratio, 500 + n)
         times = campaign.T_GRID[1:]
         cold = core.eigh_many([inst.perturbed(t) for t in times])
         warm = inst.spectra(times)
@@ -457,7 +483,7 @@ class TestWarmPath:
         for plan in GENERATED_PLANS:
             for ratio in (0.25, 0.65, 0.95):
                 for seed in (9, 10):
-                    inst = campaign._build_instance(plan, 48, ratio, seed)
+                    inst = campaign.build_instance(plan, 48, ratio, seed)
                     campaign.walk_path(inst, [(0.0, t) for t in times])
                     core.eigh_many([inst.perturbed(t) for t in times])
                     cold.append(recorded.pop())
@@ -489,7 +515,7 @@ class TestWarmPath:
             return rows, found
 
         def logged(name, run):
-            return lambda b: (calls[-1].append(name), run(b))[1]
+            return lambda g, b: (calls[-1].append(name), run(g, b))[1]
 
         monkeypatch.setattr(core, "hestenes_sweeps", record)
         monkeypatch.setattr(_jacobi, "_one_sided_sweep", logged("sweep", sweep))
@@ -498,7 +524,7 @@ class TestWarmPath:
         for plan in GENERATED_PLANS:
             for ratio in (0.25, 0.65, 0.95):
                 for seed in (9, 10):
-                    inst = campaign._build_instance(plan, 48, ratio, seed)
+                    inst = campaign.build_instance(plan, 48, ratio, seed)
                     campaign.walk_path(inst, pairs)
         assert len(calls) == 18 and all(runs[0] == "step" for runs in calls)
         sweeps, _, steps, passes = (np.concatenate(found) for found in zip(*counts))
@@ -516,7 +542,7 @@ class TestAllPairsSteps:
 
     def stack(self):
         n = self.N
-        inst = campaign._build_instance("convex-separated", n, 0.65, 7)
+        inst = campaign.build_instance("convex-separated", n, 0.65, 7)
         q = inst.dec_a.eigenvectors
         g = PortableRng(n).gaussians(n * 3).reshape(n, 3)
         sym = PortableRng(43).gaussians(n * n).reshape(n, n)
@@ -579,12 +605,12 @@ class TestAllPairsSteps:
         assert np.all(counts[0] > 0) and counts.steps.tolist() == [0, 0]
 
     @pytest.mark.parametrize("r", [15, 16])
-    def test_one_sided_steps_start_at_16_rows(self, monkeypatch, r):
-        # the one-sided kernel stages by its row count and returns the same
-        # Counts (sweeps, off, steps, passes) with its r x r rows: square and
-        # wide stacks of 15 rows take two QR passes and sweep, of 16 rows
-        # every matrix takes more passes, then steps, and needs fewer sweeps
-        # than sweeps alone take
+    def test_one_sided_kernel_steps_at_every_row_count(self, monkeypatch, r):
+        # the one-sided kernel has no size rule and returns the same Counts
+        # (sweeps, off, steps, passes) with its r x r rows: square and wide
+        # stacks on both sides of the two-sided kernel's 16 take more passes,
+        # then steps, and need fewer sweeps than two passes and sweeps alone
+        # (a step cap of 0) take
         for m in (r, r + 9):
             b = PortableRng(100 + m).gaussians(2 * r * m).reshape(2, r, m)
             rows, counts = _jacobi.hestenes_sweeps(b, 1e-13, 100)
@@ -592,17 +618,40 @@ class TestAllPairsSteps:
             assert isinstance(counts, _jacobi.Counts) and counts[0] is counts.sweeps is sweeps
             assert rows.shape == (2, r, r) and np.all(off <= 1e-13)
             assert steps.dtype == passes.dtype == np.int64
-            if r < _jacobi.STEP_MIN_N:
-                assert np.all(sweeps > 0) and steps.tolist() == [0, 0]
-                assert passes.tolist() == [2, 2]
-                continue
             assert np.all(steps > 0) and steps.max() <= _jacobi.STEP_CAP
             assert np.all(passes > 2) and passes.max() <= _jacobi.STEP_CAP
             with monkeypatch.context() as patch:
-                patch.setattr(_jacobi, "STEP_MIN_N", r + 1)
+                patch.setattr(_jacobi, "STEP_CAP", 0)
                 _, alone = _jacobi.hestenes_sweeps(b, 1e-13, 100)
             assert alone.steps.tolist() == [0, 0] and alone.passes.tolist() == [2, 2]
             assert np.all(sweeps < alone.sweeps)
+
+    @pytest.mark.parametrize("case", ["two-sided-16", "two-sided-24", "gram-24"])
+    def test_step_commutes_with_sign_flips(self, case):
+        # without a sign pass on R, Q is the Householder Q of I + K: flipping
+        # the signs of rows and columns of the input by a diagonal D of +-1
+        # flips those of Q alike, to the last bit
+        n = int(case[-2:])
+        g = PortableRng(n).gaussians(3 * n * (n + 6)).reshape(3, n, n + 6)
+        sym = g[:, :, :n] + g.transpose(0, 2, 1)[:, :n, :]
+        g = g @ g.transpose(0, 2, 1) if case == "gram-24" else sym
+        q = _jacobi._step_rotation(g)
+        for seed in (1, 2, 3):
+            d = np.where(PortableRng(seed).uniforms(3 * n).reshape(3, n) < 0.5, -1.0, 1.0)
+            flipped = _jacobi._step_rotation(d[:, :, None] * g * d[:, None, :])
+            assert np.any(d < 0.0)
+            assert np.array_equal(flipped, d[:, :, None] * q * d[:, None, :])
+
+    def test_one_sided_runs_return_the_gram_of_their_rows(self):
+        # a QR pass, a step and a sweep each return (G, B) with G = B B^T to
+        # the last bit, so no stage forms the Gram matrix of its input again
+        b = PortableRng(24).gaussians(3 * 24 * 30).reshape(3, 24, 30)
+        b[1] *= np.logspace(0, -12, 24)[:, None]
+        stacks = _jacobi._qr_pass(None, b)
+        for run in (_jacobi._qr_pass, _jacobi._one_sided_step, _jacobi._one_sided_sweep) * 2:
+            g, rows = stacks = run(*stacks)
+            assert np.array_equal(g, rows @ rows.transpose(0, 2, 1))
+            assert rows.shape == (3, 24, 24)
 
 
 def path_angle(inst) -> float:

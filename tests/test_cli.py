@@ -469,8 +469,8 @@ PINNED_OUTPUTS = {
     ("optimize-failing", "json"): (1, "f7a8c16d78ee60864985891c36af024682524d035713c8f4376c0758df9b920a"),
     ("optimize-failing", "csv"): (1, "1ff5e9c5d2de27c048781797d24e8ff0271eaa068b44a24f01163e827f515551"),
     ("optimize-failing", "pretty"): (1, "69f92fb9f1351fda20a6000602b7086974934c4756d7305c1a18bcca77cca55a"),
-    ("verify", "json"): (0, "510b5ac56ae621546153b021d3672886eea6a70811a7d8755ce4e59a1475aa61"),
-    ("verify", "csv"): (0, "242c541fa1db1b19c662deb4e69a45a698912975b741543c9f1fe5a1be06fc9c"),
+    ("verify", "json"): (0, "197a1462e91b4ce8662d2e8a1e5b5e8195eb16239c0b992cd8021296555ab3b7"),
+    ("verify", "csv"): (0, "13dad319d05c9d579db44a24b2e2f9e51d56067f589f9cb621c1634136c0556d"),
     ("verify", "pretty"): (0, "33a6a67353980b8c15ce5579190aa631ff2deb604d8f916b2ac6e9b9d4762b71"),
 }
 

@@ -182,8 +182,8 @@ class TestJacobiKernel:
         tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
         sweeps, off, *_ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
         assert np.all(sweeps > 0) and np.all(off <= tol)
-        _, (sweeps, off, *_) = _jacobi.hestenes_sweeps(g[:, :5], 1e-13, 100)
-        assert np.all(sweeps > 0) and np.all(off <= 1e-13)
+        _, (sweeps, off, steps, _) = _jacobi.hestenes_sweeps(g[:, :5], 1e-13, 100)
+        assert np.all(steps + sweeps > 0) and np.all(off <= 1e-13)
 
     def test_one_sided_off_is_the_largest_row_cosine(self):
         b = PortableRng(75).gaussians(3 * 6 * 11).reshape(3, 6, 11)
@@ -373,8 +373,8 @@ class TestSingularValuesMany:
         # groups of four equal entries, shuffled. Two QR passes separate the
         # groups but leave the rows within a group far from orthogonal (the
         # diag(d) H rows above leave them orthogonal), so the kernel
-        # rotates, and from r = 16 every matrix steps. Its values must be
-        # those of two passes and sweeps alone to the relative accuracy
+        # rotates, and every matrix steps. Its values must be those of two
+        # passes and sweeps alone (a step cap of 0) to the relative accuracy
         # one-sided Jacobi gives graded rows
         rng = PortableRng(180 + r)
         ms = []
@@ -391,10 +391,9 @@ class TestSingularValuesMany:
 
         monkeypatch.setattr(core, "hestenes_sweeps", record)
         stepped = singular_values_many(ms)
-        monkeypatch.setattr(_jacobi, "STEP_MIN_N", r + 1)
+        monkeypatch.setattr(_jacobi, "STEP_CAP", 0)
         swept = singular_values_many(ms)
-        assert np.all(steps[0] > 0) if r >= 16 else steps[0].tolist() == [0] * 10
-        assert steps[1].tolist() == [0] * 10
+        assert np.all(steps[0] > 0) and steps[1].tolist() == [0] * 10
         for values, alone in zip(stepped, swept, strict=True):
             assert np.all(alone > 0.0)
             assert np.max(np.abs(values - alone) / alone) <= 1e-14
@@ -464,7 +463,7 @@ class TestSingularValuesMany:
 
 
 class TestPinnedSteppedKernels:
-    # from 16 rows both kernels step, through LAPACK's QR, and the one-sided
+    # at 24 rows both kernels step, through LAPACK's QR, and the one-sided
     # kernel takes its QR passes to its steps: pinned for PINNED_BUILD and
     # PINNED_CORE, so that a change of their bits shows
     def test_singular_values_of_a_24_row_stack(self, pinned_build):

@@ -366,13 +366,13 @@ class TestAssemble:
 class TestPinnedInstances:
     def test_first_verify500_instances_keep_their_bytes(self, monkeypatch, pinned_build):
         built = []
-        original = campaign._build_instance
+        original = campaign.build_instance
 
         def build(*args):
             built.append(original(*args))
             return built[-1]
 
-        monkeypatch.setattr(campaign, "_build_instance", build)
+        monkeypatch.setattr(campaign, "build_instance", build)
         list(run_campaign(CampaignConfig.from_json_file(str(CONFIG_PATH), trials=15)))
         assert len(built) == 15
         a_digest, v_digest = hashlib.sha256(), hashlib.sha256()

@@ -13,10 +13,11 @@ this process under two names, and the change checkout's
 `perfbench/workloads.py` runs on each side with its specangles names bound to
 that side's. Per seed, round 0 of the workload runs once a side to warm up;
 then the workload's warm-up (what `setup_s` times, less the imports) is timed
-with `time.process_time` once a side, in turn; then each operation is timed
-on both sides in turn, the first side swapped each operation, and the
-outputs are compared: where they differ, the file says how. Host drift then
-reaches both sides alike, where processes run minutes apart can differ by 2x.
+with `time.process_time` five times a side, in turn, and each side's median
+is kept; then each operation is timed on both sides in turn, the first side
+swapped each operation, and the outputs are compared: where they differ, the
+file says how. Host drift then reaches both sides alike, where processes run
+minutes apart can differ by 2x.
 
 The end-to-end metrics, their better direction and bound come from the change
 checkout's BENCHMARK.json. The file gets the keys `environment`, `parent`,
@@ -218,14 +219,22 @@ def round_of(pkg, workloads, name: str, seed: int, ops: int | None) -> tuple[lis
             lambda triple: np.asarray(triple).tobytes())
 
 
-def timed_warm_up(pkg, workloads, name: str, seed: int) -> tuple[float, str]:
-    """CPU seconds of workload `name`'s warm-up for benchmark seed `seed`, run
-    by perfbench's own code with package `pkg`, and its digest."""
-    with bound_to(workloads, pkg):
-        workload = workloads.make(name, seed)
-        start = time.process_time()
-        digest = workload.warm_up()
-        return time.process_time() - start, digest
+def timed_warm_up(sides: dict, workloads, name: str, seed: int) -> tuple[dict, dict]:
+    """The median CPU seconds of workload `name`'s warm-up for benchmark seed
+    `seed` on each side, run by perfbench's own code with that side's package
+    five times a side in turn, the parent first on odd seeds; and the set of
+    digests each side's runs gave. One warm-up of `block-lemma` is about
+    20 ms, too short for one reading to compare."""
+    spent = {side: [] for side in SIDES}
+    digests = {side: set() for side in SIDES}
+    for _ in range(5):
+        for side in SIDES if seed % 2 else SIDES[::-1]:
+            with bound_to(workloads, sides[side]):
+                workload = workloads.make(name, seed)
+                start = time.process_time()
+                digests[side].add(workload.warm_up())
+                spent[side].append(time.process_time() - start)
+    return {side: statistics.median(runs) for side, runs in spent.items()}, digests
 
 
 KEPT = ("instance_id", "t", "bound_name", "pass")
@@ -259,8 +268,9 @@ def drift(campaign: bool, outputs: list[tuple[bytes, bytes]]) -> dict:
 
 def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None) -> dict:
     """CPU milliseconds per operation on each side, one round per seed, and
-    how the sides' outputs differ; and the CPU milliseconds of each side's
-    warm-up, timed in turn once per seed after a warm pass, with its digest."""
+    how the sides' outputs differ; and per seed, after a warm pass, the median
+    CPU milliseconds of each side's warm-up (`timed_warm_up`) and whether every
+    warm-up of both sides gave one digest."""
     ms = {side: [] for side in SIDES}
     warm = {side: [] for side in SIDES}
     ratios, warm_ratios, digests_agree, outputs = [], [], [], []
@@ -268,12 +278,11 @@ def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None)
         for pkg in sides.values():  # warm pass
             for run in round_of(pkg, workloads, name, seed, ops)[0]:
                 run()
-        digests = {}
-        for side in SIDES if seed % 2 else SIDES[::-1]:
-            spent, digests[side] = timed_warm_up(sides[side], workloads, name, seed)
-            warm[side].append(round(1e3 * spent, 4))
+        spent, digests = timed_warm_up(sides, workloads, name, seed)
+        for side in SIDES:
+            warm[side].append(round(1e3 * spent[side], 4))
         warm_ratios.append(round(warm["change"][-1] / warm["parent"][-1], 4))
-        digests_agree.append(digests["parent"] == digests["change"])
+        digests_agree.append(len(digests["parent"] | digests["change"]) == 1)
         work = {side: round_of(pkg, workloads, name, seed, ops) for side, pkg in sides.items()}
         spent = dict.fromkeys(SIDES, 0.0)
         count = len(work["parent"][0])
