@@ -27,6 +27,7 @@ from .core import (
     Projector,
     SpectralDecomposition,
     SymmetricMatrix,
+    _scaled,
     _solved_diagonals,
     decompositions,
     eigh_many,
@@ -79,6 +80,14 @@ def _asin_guarded(arg: float) -> float:
     return math.asin(arg)
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F, taken at `core._scaled`'s power-of-two scale of x, so that
+    no square overflows; it has the bits of np.linalg.norm(x) wherever
+    that is finite and no square is subnormal."""
+    scaled, e = _scaled(np.reshape(x, (1, 1, -1)))
+    return math.ldexp(float(np.linalg.norm(scaled)), int(e[0]))
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbationInstance:
     """A perturbation problem: base matrix, PSD perturbation, and the index
@@ -124,7 +133,8 @@ class PerturbationInstance:
         each relative to its scale: A*Q = Q*diag(w) (O(n^3)) and V's trace and
         Frobenius norm against its eigenvalues (O(n^2)) within the membership
         tolerance of each matrix's Frobenius norm, Q^T*Q = I within that of 1,
-        and V by require_psd; a mismatch raises ValueError."""
+        and V by require_psd; a mismatch raises ValueError. The norms are
+        taken at a power-of-two scale, so the checks hold near overflow."""
         if a.dim != v.dim:
             raise ValueError("dimension mismatch between A and V")
         idx = tuple(sorted(int(k) for k in sigma_indices))
@@ -135,16 +145,16 @@ class PerturbationInstance:
         if idx[0] < 0 or idx[-1] >= a.dim:
             raise ValueError("sigma index out of range")
         w, q = dec_a.eigenvalues, dec_a.eigenvectors
-        tol = membership_tol(np.linalg.norm(a.entries))
+        tol = membership_tol(_frobenius(a.entries))
         if np.any(np.diff(w) < 0.0) or not (
             np.allclose(a.entries @ q, q * w, rtol=0.0, atol=tol)
             and np.allclose(q.T @ q, np.eye(a.dim), rtol=0.0, atol=membership_tol(1.0))
         ):
             raise ValueError("dec_a is not an ascending eigendecomposition of A")
         wv = np.asarray(v_eigenvalues, dtype=float)
-        v_fro = np.linalg.norm(v.entries)
+        v_fro = _frobenius(v.entries)
         tol = membership_tol(v_fro)
-        if abs(np.trace(v.entries) - wv.sum()) > tol or abs(v_fro - np.linalg.norm(wv)) > tol:
+        if abs(np.trace(v.entries) - wv.sum()) > tol or abs(v_fro - _frobenius(wv)) > tol:
             raise ValueError("v_eigenvalues do not match the spectrum of V")
         require_psd(wv)
         in_sigma = np.zeros(a.dim, dtype=bool)
@@ -177,8 +187,9 @@ class PerturbationInstance:
         in [0, 1].
 
         t = 0 is dec_a. Every other t is solved warm, in one kernel call, as
-        M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors: M_t's values
-        and its rotations X, lifted as Q*X, are ordered and signed once, by
+        M_t = Q^T A Q + t * Q^T V Q with Q = dec_a.eigenvectors, all M_t in
+        one broadcast of the two symmetrized products: M_t's values and its
+        rotations X, lifted as Q*X, are ordered and signed once, by
         `core.decompositions`. The off-diagonal part of M_t is about t times
         that of Q^T V Q, so Jacobi starts near the diagonal, where cyclic
         Jacobi converges quadratically (Henrici 1958). Q^T A Q is formed, not
@@ -193,10 +204,10 @@ class PerturbationInstance:
         later = [t for t in times if t != 0.0]
         if later:
             q = self.dec_a.eigenvectors
-            qaq = SymmetricMatrix(q.T @ self.a.entries @ q)
-            qvq = SymmetricMatrix(q.T @ self.v.entries @ q)
+            qaq = SymmetricMatrix(q.T @ self.a.entries @ q).entries
+            qvq = SymmetricMatrix(q.T @ self.v.entries @ q).entries
             x = np.repeat(np.eye(q.shape[0])[None], len(later), axis=0)
-            w = _solved_diagonals([qaq + qvq.scaled(t) for t in later], x)
+            w = _solved_diagonals(qaq + np.array(later, dtype=float)[:, None, None] * qvq, x)
             lifted = iter(decompositions(w, q @ x))
         return {t: self.dec_a if t == 0.0 else next(lifted) for t in times}
 

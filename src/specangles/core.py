@@ -43,7 +43,8 @@ def require_psd(eigenvalues: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """Real symmetric matrix; symmetrized as (M + M^T)/2 at construction, so
-    entries[i, j] == entries[j, i] holds exactly."""
+    entries[i, j] == entries[j, i] holds exactly. A pair whose sum overflows
+    is halved before it is added, so every finite M gives finite entries."""
 
     entries: np.ndarray
 
@@ -51,11 +52,18 @@ class SymmetricMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("entries must form a nonempty square matrix")
-        if not np.all(np.isfinite(arr)):
+        top = np.abs(arr).max()
+        if not np.isfinite(top):
             raise ValueError("entries must be finite")
-        arr = (arr + arr.T) / 2.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        if top < 2.0**1023:  # no pair sum can overflow
+            sym = (arr + arr.T) / 2.0
+        else:
+            with np.errstate(over="ignore"):
+                sym = (arr + arr.T) / 2.0
+            over = np.isinf(sym)
+            sym[over] = (arr / 2.0 + arr.T / 2.0)[over]
+        sym.setflags(write=False)
+        object.__setattr__(self, "entries", sym)
 
     @property
     def dim(self) -> int:
@@ -139,35 +147,27 @@ def eigh_many(ms: Sequence[SymmetricMatrix]) -> list[SpectralDecomposition]:
 
     Each matrix gets exactly the decomposition `eigh` gives it alone: its own
     scale, tolerance 1e-13 * ||M||_F, cap of sweeps and steps, and the
-    conventions of `decompositions`. Raises ConvergenceError if any matrix
-    misses it.
+    conventions of `decompositions`. Unequal sizes raise ValueError before
+    the call, and a missed tolerance ConvergenceError.
     """
     if not ms:
         return []
-    vec = np.repeat(np.eye(ms[0].dim)[None], len(ms), axis=0)
-    return decompositions(_solved_diagonals(ms, vec), vec)
-
-
-def eigvalsh_many(ms: Sequence[SymmetricMatrix]) -> np.ndarray:
-    """Eigenvalues, ascending, of several same-size matrices in one kernel
-    call, as rows of a (k, n) array: bit for bit the eigenvalues `eigh_many`
-    gives, from a solve that builds no eigenvectors. The rotations of each
-    matrix never read its vectors, so its scale, tolerance, cap, sweeps and
-    ConvergenceError are those of `eigh_many`.
-    """
-    if not ms:
-        return np.zeros((0, 0))
-    return np.sort(_solved_diagonals(ms, None), axis=1, kind="stable")
-
-
-def _solved_diagonals(ms: Sequence[SymmetricMatrix], vec: np.ndarray | None) -> np.ndarray:
-    """The diagonals (k, n), in index order, that the two-sided kernel leaves
-    of the matrices, each solved at its own power-of-two scale to tolerance
-    1e-13 * ||M||_F, its rotations accumulated into `vec` unless it is None;
-    raises ConvergenceError if any matrix misses it."""
     if any(m.dim != ms[0].dim for m in ms):
         raise ValueError("all matrices must have the same dimension")
-    a, e = _scaled(np.array([m.entries for m in ms], dtype=float))
+    vec = np.repeat(np.eye(ms[0].dim)[None], len(ms), axis=0)
+    return decompositions(_solved_diagonals(np.array([m.entries for m in ms]), vec), vec)
+
+
+def _solved_diagonals(stack: np.ndarray, vec: np.ndarray | None) -> np.ndarray:
+    """The diagonals (k, n), in index order, that the two-sided kernel leaves
+    of the matrices of `stack` (k, n, n), each solved at its own power-of-two
+    scale to tolerance 1e-13 * ||M||_F, its rotations accumulated into `vec`
+    unless it is None (they never steer the solve); raises ValueError, before
+    any solve, on a non-finite entry and ConvergenceError if any matrix
+    misses the tolerance."""
+    if not np.isfinite(stack).all():
+        raise ValueError("entries must be finite")
+    a, e = _scaled(stack)
     fro = np.sqrt(np.sum(a * a, axis=(1, 2)))
     # positional: the kernel-call counters read the stack as the first argument
     off = jacobi_sweeps(a, vec, JACOBI_TOL * fro, MAX_SWEEPS).off

@@ -236,6 +236,25 @@ def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
         assert [len(section["warm_up_cpu_ms"][side]) for side in ("parent", "change")] == [2, 2]
         assert len(section["warm_up_change_over_parent_per_round"]) == 2
         assert section["warm_up_digests_agree"] == [True, True]
+        counts = section["kernel_counts"]
+        assert counts["parent"] == counts["change"], name
+        # the kernels are restored after each warm pass
+        assert all(side.core.jacobi_sweeps is side._jacobi.jacobi_sweeps for side in sides.values())
+        if name == "block-lemma":
+            # three draws per seed, each one (3, n, n) solve by sweeps alone
+            assert list(counts["change"]) == ["two-sided"]
+            two_sided = counts["change"]["two-sided"]
+            assert sum(entry["matrices"] for entry in two_sided.values()) == 2 * 3 * 3
+            for size, entry in two_sided.items():
+                assert int(size.split("x")[0]) <= 10
+                assert entry["passes"]["max"] == entry["steps"]["max"] == 0
+        else:
+            # the path solves at n = 48 and 64 step; the angle stacks also pass
+            two_sided = counts["change"]["two-sided"]
+            assert set(two_sided) <= {"48x48", "64x64"}
+            assert all(entry["steps"]["mean"] > 0.0 for entry in two_sided.values())
+            one_sided = counts["change"]["one-sided"].values()
+            assert all(entry["passes"]["mean"] >= 2.0 for entry in one_sided)
         # the workloads module keeps the specangles it imported
         assert workloads.run_campaign.__module__ == "specangles.campaign"
 
@@ -287,6 +306,41 @@ def test_in_process_ab_says_how_the_outputs_differ(bench_pairs, monkeypatch):
     assert drift["rows_keep_id_t_bound_and_verdict"] is True
     assert 0.0 < drift["max_abs_theta_difference"] <= 1e-14
     assert 0.0 < drift["max_abs_margin_difference"] <= 1e-14
+    # the traffic says so: the parent steps in both kernels, the change never
+    counts = section["kernel_counts"]
+    for side, stepped in (("parent", True), ("change", False)):
+        for kernel in ("two-sided", "one-sided"):
+            steps = [entry["steps"]["max"] for entry in counts[side][kernel].values()]
+            assert (max(steps) > 0) is stepped, (side, kernel)
+
+
+def test_kernel_counts_per_kernel_and_size(bench_pairs):
+    def counts(sweeps, steps, passes):
+        return types.SimpleNamespace(
+            sweeps=np.array(sweeps), steps=np.array(steps), passes=np.array(passes)
+        )
+
+    calls = [
+        ("two-sided", (4, 4), counts([0, 3], [0, 0], [0, 0])),
+        ("one-sided", (3, 5), counts([0], [4], [2])),
+        ("two-sided", (4, 4), counts([1], [0], [0])),
+        ("two-sided", (16, 16), counts([0, 0], [5, 8], [0, 0])),
+    ]
+    assert bench_pairs.kernel_counts(calls) == {
+        "one-sided": {
+            "3x5": {"matrices": 1, "passes": {"mean": 2.0, "max": 2},
+                    "steps": {"mean": 4.0, "max": 4}, "sweeps": {"mean": 0.0, "max": 0},
+                    "matrices_sweeping": 0},
+        },
+        "two-sided": {
+            "4x4": {"matrices": 3, "passes": {"mean": 0.0, "max": 0},
+                    "steps": {"mean": 0.0, "max": 0}, "sweeps": {"mean": 1.3333, "max": 3},
+                    "matrices_sweeping": 2},
+            "16x16": {"matrices": 2, "passes": {"mean": 0.0, "max": 0},
+                      "steps": {"mean": 6.5, "max": 8}, "sweeps": {"mean": 0.0, "max": 0},
+                      "matrices_sweeping": 0},
+        },
+    }
 
 
 def test_drift_of_campaign_rows_and_block_triples(bench_pairs):

@@ -43,6 +43,35 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1e308, 0.0], [0.0, 1.0]],
+            [[-1.7e308, 0.0], [0.0, 1.7e308]],
+            [[0.0, 1.5e308], [1.5e308, 0.0]],
+            [[0.0, -1.79e308], [-1.79e308, 0.0]],
+        ],
+    )
+    def test_entries_past_half_the_float_range_are_kept(self, entries):
+        # (M + M^T)/2 would overflow to inf on these pairs; eigh then solves
+        # them exactly: a diagonal, or +-x for the pair [[0, x], [x, 0]]
+        m = SymmetricMatrix(entries)
+        assert m.entries.tolist() == entries
+        x = abs(np.array(entries)).max()
+        expected = sorted(np.diag(entries)) if entries[0][1] == 0.0 else [-x, x]
+        assert eigh(m).eigenvalues.tolist() == expected
+
+    def test_an_overflowing_pair_is_halved_before_it_is_added(self):
+        # the overflowing pair gets x/2 + y/2; every other pair keeps the
+        # bits of (x + y)/2, here three subnormal units each, where halving
+        # first would round 1.5 + 1.5 units up to 4
+        unit = 5e-324
+        m = SymmetricMatrix([[0.0, 1.6e308, 3 * unit], [1.2e308, 1.0, 0.5], [3 * unit, 0.25, 2.0]])
+        assert m.entries[0, 1] == m.entries[1, 0] == 1.6e308 / 2.0 + 1.2e308 / 2.0
+        assert m.entries[0, 2] == m.entries[2, 0] == 3 * unit
+        assert m.entries[1, 2] == m.entries[2, 1] == 0.375
+        assert np.all(np.isfinite(m.entries))
+
     def test_entries_read_only(self):
         m = SymmetricMatrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -258,10 +287,11 @@ class TestEighMany:
         # ties keep their original index order
         assert np.array_equal(np.argmax(diag.eigenvectors, axis=0), [1, 5, 4, 2, 3, 0, 6])
 
-    def test_empty_and_mismatched(self):
+    def test_empty_and_mismatched(self, kernel_calls):
         assert eigh_many([]) == []
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="same dimension"):
             eigh_many([SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(3))])
+        assert kernel_calls == []
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_SWEEPS", 0)
@@ -278,7 +308,10 @@ class TestEighMany:
         assert values.tolist() == pytest.approx([-1e-20, 1e-20], rel=1e-13, abs=0.0)
 
 
-class TestEigvalshMany:
+class TestSolvedDiagonals:
+    """`core._solved_diagonals(stack, None)`, the eigenvalues-only solve of a
+    (k, n, n) stack that `psd_block_bounds` makes."""
+
     @staticmethod
     def stack(n):
         basis = PortableRng(900 + n).haar_orthogonal(n)
@@ -292,16 +325,21 @@ class TestEigvalshMany:
             SymmetricMatrix.diagonal(repeated),
         ]
 
+    @staticmethod
+    def solved(ms):
+        return core._solved_diagonals(np.array([m.entries for m in ms]), None)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 24])
-    def test_eigenvalues_of_eigh_many_bit_for_bit(self, n):
+    def test_sorted_diagonals_are_eigh_many_eigenvalues_bit_for_bit(self, n):
         # from n = 16 the kernel takes all-pairs steps; bytes also tell -0.0
         # from 0.0
         ms = self.stack(n)
-        stacked = core.eigvalsh_many(ms)
+        stacked = self.solved(ms)
         assert stacked.shape == (len(ms), n)
         for i, (m, dec) in enumerate(zip(ms, eigh_many(ms), strict=True)):
-            assert stacked[i].tobytes() == dec.eigenvalues.tobytes()
-            assert core.eigvalsh_many([m])[0].tobytes() == dec.eigenvalues.tobytes()
+            assert np.sort(stacked[i], kind="stable").tobytes() == dec.eigenvalues.tobytes()
+            alone = self.solved([m])[0]
+            assert np.sort(alone, kind="stable").tobytes() == dec.eigenvalues.tobytes()
 
     def test_the_kernel_carries_no_vectors(self, monkeypatch):
         seen = []
@@ -312,20 +350,28 @@ class TestEigvalshMany:
             return kernel(a, vec, *args)
 
         monkeypatch.setattr(core, "jacobi_sweeps", spy)
-        core.eigvalsh_many(self.stack(7))
+        self.solved(self.stack(7))
         assert seen == [None]
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_SWEEPS", 0)
+        # a diagonal needs no sweep and keeps its index order
         diagonal = SymmetricMatrix.diagonal([2.0, 1.0])
-        assert core.eigvalsh_many([diagonal]).tolist() == [[1.0, 2.0]]
+        assert self.solved([diagonal]).tolist() == [[2.0, 1.0]]
         with pytest.raises(ConvergenceError):
-            core.eigvalsh_many([diagonal, random_symmetric(2, 3)])
+            self.solved([diagonal, random_symmetric(2, 3)])
 
-    def test_empty_and_mismatched(self):
-        assert core.eigvalsh_many([]).shape == (0, 0)
-        with pytest.raises(ValueError):
-            core.eigvalsh_many([SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(3))])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_refused_before_the_kernel(self, kernel_calls, bad):
+        good = np.array([m.entries for m in self.stack(7)])
+        for i, j, k in ((0, 0, 0), (2, 3, 5), (5, 6, 6)):
+            stack = good.copy()
+            stack[i, j, k] = bad
+            with pytest.raises(ValueError, match="entries must be finite"):
+                core._solved_diagonals(stack, None)
+            with pytest.raises(ValueError, match="entries must be finite"):
+                core._solved_diagonals(stack, np.repeat(np.eye(7)[None], len(stack), axis=0))
+        assert kernel_calls == []
 
 
 class TestSingularValuesMany:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,34 @@ class TestAssemble:
             PerturbationInstance.assemble(
                 inst.a, inst.v, inst.sigma_indices, inst.dec_a, 1.01 * v_w
             )
+
+    GIANT = 2.0**600  # squares of entries this large overflow
+
+    @pytest.mark.parametrize("generator", [random_instance, rank_one_instance])
+    def test_builds_near_overflow_as_at_unit_scale(self, generator):
+        pairs = [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = generator(8, convex_plan(8), 0.65, 3)
+            giant = generator(8, convex_plan(8, self.GIANT), 0.65, 3)
+            _, unit_reports = campaign.walk_path(unit, pairs)
+            _, giant_reports = campaign.walk_path(giant, pairs)
+        assert giant.d == self.GIANT * unit.d
+        for u, g in zip(unit_reports, giant_reports, strict=True):
+            assert g.sines.tobytes() == u.sines.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, GIANT])
+    @pytest.mark.parametrize("generator", [random_instance, rank_one_instance])
+    def test_refuses_a_wrong_spectrum_at_every_scale(self, generator, scale):
+        inst = generator(8, convex_plan(8, scale), 0.65, 3)
+        w, q = inst.dec_a.eigenvalues, inst.dec_a.eigenvectors
+        v_w = eigh(inst.v).eigenvalues
+        args = (inst.a, inst.v, inst.sigma_indices)
+        PerturbationInstance.assemble(*args, inst.dec_a, v_w)
+        with pytest.raises(ValueError, match="dec_a"):
+            PerturbationInstance.assemble(*args, SpectralDecomposition(1.1 * w, q), v_w)
+        with pytest.raises(ValueError, match="v_eigenvalues"):
+            PerturbationInstance.assemble(*args, inst.dec_a, 1.5 * v_w)
 
 
 class TestPinnedInstances:

@@ -17,7 +17,9 @@ with `time.process_time` five times a side, in turn, and each side's median
 is kept; then each operation is timed on both sides in turn, the first side
 swapped each operation, and the outputs are compared: where they differ, the
 file says how. Host drift then reaches both sides alike, where processes run
-minutes apart can differ by 2x.
+minutes apart can differ by 2x. The untimed round 0 also records each side's
+kernel traffic (`kernel_counts`): per Jacobi kernel and matrix size, the
+matrices solved and their passes, steps and sweeps.
 
 The end-to-end metrics, their better direction and bound come from the change
 checkout's BENCHMARK.json. The file gets the keys `environment`, `parent`,
@@ -237,6 +239,51 @@ def timed_warm_up(sides: dict, workloads, name: str, seed: int) -> tuple[dict, d
     return {side: statistics.median(runs) for side, runs in spent.items()}, digests
 
 
+KERNELS = {"jacobi_sweeps": "two-sided", "hestenes_sweeps": "one-sided"}
+
+
+@contextlib.contextmanager
+def kernel_traffic(pkg, calls: list):
+    """Each call of package `pkg`'s two Jacobi kernels, appended to `calls` as
+    (kernel, matrix shape, Counts), as the `kernel_calls` test fixture wraps
+    them: at the name `pkg.core` calls them by. Restored on exit."""
+    saved = {name: getattr(pkg.core, name) for name in KERNELS}
+
+    def counted(name, original):
+        def call(a, *args):
+            out = original(a, *args)
+            calls.append((KERNELS[name], a.shape[1:], out if name == "jacobi_sweeps" else out[1]))
+            return out
+        return call
+
+    for name, original in saved.items():
+        setattr(pkg.core, name, counted(name, original))
+    try:
+        yield calls
+    finally:
+        for name, original in saved.items():
+            setattr(pkg.core, name, original)
+
+
+def kernel_counts(calls: list) -> dict:
+    """Per kernel and matrix shape ("48x48" two-sided, "24x32" one-sided) of
+    the `kernel_traffic` calls: the matrices solved, the mean and max of
+    their passes, steps and sweeps, and how many took a sweep at all."""
+    found = {}
+    for kernel, shape, counts in calls:
+        found.setdefault(kernel, {}).setdefault(tuple(shape), []).append(counts)
+    out = {}
+    for kernel, sizes in sorted(found.items()):
+        for shape, runs in sorted(sizes.items()):
+            entry = {"matrices": sum(len(c.sweeps) for c in runs)}
+            for field in ("passes", "steps", "sweeps"):
+                values = np.concatenate([getattr(c, field) for c in runs])
+                entry[field] = {"mean": round(float(values.mean()), 4), "max": int(values.max())}
+            entry["matrices_sweeping"] = sum(int(np.count_nonzero(c.sweeps)) for c in runs)
+            out.setdefault(kernel, {})["x".join(map(str, shape))] = entry
+    return out
+
+
 KEPT = ("instance_id", "t", "bound_name", "pass")
 
 
@@ -268,16 +315,19 @@ def drift(campaign: bool, outputs: list[tuple[bytes, bytes]]) -> dict:
 
 def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None) -> dict:
     """CPU milliseconds per operation on each side, one round per seed, and
-    how the sides' outputs differ; and per seed, after a warm pass, the median
+    how the sides' outputs differ; per seed, after a warm pass, the median
     CPU milliseconds of each side's warm-up (`timed_warm_up`) and whether every
-    warm-up of both sides gave one digest."""
+    warm-up of both sides gave one digest; and each side's `kernel_counts`
+    over the warm passes."""
     ms = {side: [] for side in SIDES}
     warm = {side: [] for side in SIDES}
+    calls = {side: [] for side in SIDES}
     ratios, warm_ratios, digests_agree, outputs = [], [], [], []
     for seed in seeds:
-        for pkg in sides.values():  # warm pass
-            for run in round_of(pkg, workloads, name, seed, ops)[0]:
-                run()
+        for side, pkg in sides.items():  # warm pass
+            with kernel_traffic(pkg, calls[side]):
+                for run in round_of(pkg, workloads, name, seed, ops)[0]:
+                    run()
         spent, digests = timed_warm_up(sides, workloads, name, seed)
         for side in SIDES:
             warm[side].append(round(1e3 * spent[side], 4))
@@ -315,6 +365,7 @@ def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None)
         "warm_up_digests_agree": digests_agree,
         "same_outputs_every_operation": differences["operations_differing"] == 0,
         "output_drift": differences,
+        "kernel_counts": {side: kernel_counts(calls[side]) for side in SIDES},
     }
 
 
