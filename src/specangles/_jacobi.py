@@ -30,18 +30,17 @@ leave a square R with the singular values of the r x m matrix B (r <= m)
 and rows closer to orthogonal than those of B.
 
 The two-sided kernel from n = 16, and the one-sided kernel at every r,
-finish a matrix in three stages, each run per matrix by `_sweep`. The first
-brings off to 0.25 ||A||_F by sweeps (two-sided), or the largest row cosine
-to 0.25 by more QR passes until a pass leaves it above 0.9 times what it was
-or 12 are done (one-sided). `_finished` then runs all-pairs steps and sweeps
-to the tolerance. A step takes the `_tangent` of every pair p < q at once
-from the diagonal and pivots of A or G, orthonormalizes the identity plus
-their skew generator by one Householder QR (Davies & Modi 1986), whatever
-the signs of R's diagonal, and applies Q as Q^T A Q or Q^T B: one QR and a
-few products where a sweep takes n - 1 rounds. A matrix steps while each
-step leaves off at most 0.9 times what it was, 12 steps at most. Passes,
-steps and sweeps count against the sweep cap. Below n = 16 two-sided sweeps
-cost less than the stages that would replace them, so there it sweeps alone.
+finish a matrix in three stages. The first is sweeps that bring off to
+0.25 ||A||_F (two-sided) or the two QR passes (one-sided). `_finished` then
+runs all-pairs steps, to the tolerance or 12 steps, and sweeps finish
+whatever is left, each stage run per matrix by `_sweep`. A step takes
+the `_tangent` of every pair p < q at once from the diagonal and pivots of
+A or G, orthonormalizes the identity plus their skew generator by one
+Householder QR (Davies & Modi 1986), whatever the signs of R's diagonal,
+and applies Q as Q^T A Q or Q^T B: one QR and a few products where a sweep
+takes n - 1 rounds. Passes, steps and sweeps count against the sweep cap.
+Below n = 16 two-sided sweeps cost less than the stages that would replace
+them, so there it sweeps alone.
 
 Everything is plain numpy and LAPACK on fixed orderings, so each result is
 a pure function of its input matrix: a matrix gives the same bits whether
@@ -60,7 +59,6 @@ import numpy as np
 STEP_MIN_N = 16
 STEP_START = 0.25
 STEP_CAP = 12
-STEP_SHRINK = 0.9
 
 
 @lru_cache(maxsize=None)
@@ -118,17 +116,14 @@ def _block_rotation(n, offsets, c, s):
     return rot.reshape(-1, n, n)
 
 
-def _sweep(stacks, one_sweep, off_of, tol, budget, shrink=None, off=None):
+def _sweep(stacks, one_sweep, off_of, tol, budget, off=None):
     """Run `one_sweep` on the matrices of `stacks` (arrays indexed alike,
     updated in place) while a matrix's off measure `off_of(stacks[0])` is
-    above its `tol` and it has done fewer than its `budget` runs; given
-    `shrink`, also only while each run left off at most `shrink` times its
-    value before. `off`, if given, is the off measure already known. Returns
-    (runs, off) per matrix; the caller decides what off > tol means."""
+    above its `tol` and it has done fewer than its `budget` runs. `off`, if
+    given, is the off measure already known. Returns (runs, off) per matrix;
+    the caller decides what off > tol means."""
     off = off_of(stacks[0]) if off is None else off
     runs = np.zeros(off.shape, dtype=np.int64)
-    if shrink is not None:  # a run that shrinks off too little ends the budget
-        budget = np.array(np.broadcast_to(budget, off.shape))
     # `work` holds the latest values of the matrices `held`, in order, and is
     # written back to `stacks` when a matrix stops and at the end. A matrix
     # that stopped keeps its off and runs, so it stays stopped.
@@ -141,11 +136,7 @@ def _sweep(stacks, one_sweep, off_of, tol, budget, shrink=None, off=None):
             held, work = active, tuple(stack[active] for stack in stacks)
         work = one_sweep(*work)
         runs[active] += 1
-        now = off_of(work[0])
-        if shrink is not None:
-            stalled = active[now > shrink * off[active]]
-            budget[stalled] = runs[stalled]
-        off[active] = now
+        off[active] = off_of(work[0])
     if work is not stacks:
         for stack, done in zip(stacks, work):
             stack[held] = done
@@ -238,7 +229,8 @@ def _all_pairs_step(a, vec=None):
 
 class Counts(NamedTuple):
     """Per matrix, as both kernels return them: the sweeps done, the final
-    off, the all-pairs steps done and the QR passes done (none two-sided)."""
+    off, the all-pairs steps done and the QR passes done (2 one-sided, 0
+    two-sided)."""
 
     sweeps: np.ndarray
     off: np.ndarray
@@ -247,11 +239,11 @@ class Counts(NamedTuple):
 
 
 def _finished(stacks, one_step, one_sweep, off_of, tol, budget, off):
-    """The last two stages, from the known `off` of `stacks`: all-pairs steps,
-    then sweeps to `tol`, together at most `budget`. Returns (steps, sweeps, off)."""
-    cap = np.minimum(STEP_CAP, budget)
-    steps, off = _sweep(stacks, one_step, off_of, tol, cap, STEP_SHRINK, off)
-    sweeps, off = _sweep(stacks, one_sweep, off_of, tol, budget - steps, off=off)
+    """The last two stages, from the known `off` of `stacks`: all-pairs steps
+    to `tol` or STEP_CAP, then sweeps to `tol`, together at most `budget`.
+    Returns (steps, sweeps, off)."""
+    steps, off = _sweep(stacks, one_step, off_of, tol, np.minimum(STEP_CAP, budget), off)
+    sweeps, off = _sweep(stacks, one_sweep, off_of, tol, budget - steps, off)
     return steps, sweeps, off
 
 
@@ -314,13 +306,12 @@ def _qr_pass(g, b):
 def hestenes_sweeps(b, tol, max_sweeps):
     """Orthogonalize the rows of each matrix of the stack `b` (k, r, m), r <= m,
     by one-sided Jacobi until its largest row cosine is at most `tol`, at every
-    r in the stages of the module docstring: passes, steps, and sweeps where
-    steps stall (only sweeps past two passes at STEP_CAP = 0). Runs past the
-    first two passes stop at `max_sweeps`. Returns the r x r rows and Counts."""
+    r in the stages of the module docstring: two QR passes, then steps and
+    sweeps (sweeps alone at STEP_CAP = 0), which stop where the passes, steps
+    and sweeps reach `max_sweeps`. Returns the r x r rows and Counts."""
     stacks = _qr_pass(*_qr_pass(None, b))
-    cap, start = min(STEP_CAP, max_sweeps) - 2, np.maximum(tol, STEP_START)
-    more, off = _sweep(stacks, _qr_pass, _max_cosine, start, cap, STEP_SHRINK)
     steps, sweeps, off = _finished(
-        stacks, _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps - 2 - more, off
+        stacks, _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps - 2,
+        _max_cosine(stacks[0]),
     )
-    return stacks[1], Counts(sweeps, off, steps, 2 + more)
+    return stacks[1], Counts(sweeps, off, steps, np.full_like(steps, 2))

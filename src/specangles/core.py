@@ -181,16 +181,17 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
 
     Each matrix is oriented with its shorter side as rows and divided by a
     power of two (see `_scaled`). At every size the kernel replaces it by the
-    square R of norm-pivoted QR passes, which keep the singular values (Drmac
-    & Veselic 2008), and rotates the rows of R by all-pairs steps, and sweeps
-    where they stall, until |r_p . r_q| <= 1e-13 |r_p| |r_q| for every pair.
+    square R of two norm-pivoted QR passes, which keep the singular values
+    (Drmac & Veselic 2008), and rotates the rows of R by all-pairs steps, and
+    sweeps past the step cap, until |r_p . r_q| <= 1e-13 |r_p| |r_q| for
+    every pair.
     The row norms, scaled back, are the singular values, small ones to high
     relative accuracy (Demmel & Veselic 1992) from subnormal to near
     overflow; the Gram matrix of the rows only picks the rotations, and no
     value is read from the eigenvalues of M^T M. A matrix gets the same
     values alone or in a stack. A non-finite entry raises ValueError. Hard
-    cap of 100 passes, steps and sweeps past the first two passes; raises
-    ConvergenceError if any matrix misses the tolerance there.
+    cap of 100 passes, steps and sweeps together; raises ConvergenceError if
+    any matrix misses the tolerance there.
     """
     if not len(ms):
         return []

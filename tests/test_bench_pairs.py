@@ -326,21 +326,35 @@ def test_kernel_counts_per_kernel_and_size(bench_pairs):
         ("two-sided", (4, 4), counts([1], [0], [0])),
         ("two-sided", (16, 16), counts([0, 0], [5, 8], [0, 0])),
     ]
-    assert bench_pairs.kernel_counts(calls) == {
+    assert bench_pairs.kernel_counts(calls, 8) == {
         "one-sided": {
             "3x5": {"matrices": 1, "passes": {"mean": 2.0, "max": 2},
                     "steps": {"mean": 4.0, "max": 4}, "sweeps": {"mean": 0.0, "max": 0},
-                    "matrices_sweeping": 0},
+                    "matrices_sweeping": 0, "matrices_at_cap": 0},
         },
         "two-sided": {
             "4x4": {"matrices": 3, "passes": {"mean": 0.0, "max": 0},
                     "steps": {"mean": 0.0, "max": 0}, "sweeps": {"mean": 1.3333, "max": 3},
-                    "matrices_sweeping": 2},
+                    "matrices_sweeping": 2, "matrices_at_cap": 0},
             "16x16": {"matrices": 2, "passes": {"mean": 0.0, "max": 0},
                       "steps": {"mean": 6.5, "max": 8}, "sweeps": {"mean": 0.0, "max": 0},
-                      "matrices_sweeping": 0},
+                      "matrices_sweeping": 0, "matrices_at_cap": 1},
         },
     }
+
+
+def test_matrices_at_cap_read_each_sides_own_step_cap(bench_pairs, monkeypatch):
+    # with a step cap of 3 on the change side, every angle matrix of a
+    # campaign-large-n trial reaches it, while the parent's 12 stops them first
+    workloads, sides = loaded_sides(bench_pairs)
+    monkeypatch.setattr(sides["change"]._jacobi, "STEP_CAP", 3)
+    counts = bench_pairs.in_process_ab(sides, workloads, "campaign-large-n", [1], ops=1)[
+        "kernel_counts"
+    ]
+    parent, change = (counts[side]["one-sided"].values() for side in ("parent", "change"))
+    assert all(entry["steps"]["max"] == 3 for entry in change)
+    assert all(entry["matrices_at_cap"] == entry["matrices"] for entry in change)
+    assert all(entry["matrices_at_cap"] < entry["matrices"] for entry in parent)
 
 
 def test_drift_of_campaign_rows_and_block_triples(bench_pairs):

@@ -29,6 +29,8 @@ from specangles import (
 )
 from conftest import random_psd, random_symmetric
 
+COLD_FAMILIES = ("near-repeated", "clusters", "rank-2")
+
 
 class TestSymmetricMatrix:
     def test_symmetrizes_input(self):
@@ -387,14 +389,58 @@ class TestSingularValuesMany:
         for m, values in zip(ms, singular_values_many(ms), strict=True):
             assert np.array_equal(values, singular_values_many([m])[0])
 
-    @pytest.mark.parametrize("shape", [(8, 8), (5, 11), (11, 5), (32, 32), (3, 1)])
-    def test_matches_numpy_svd(self, shape):
-        ms = self.stack(shape, 6, 72)
+    @staticmethod
+    def cold(family, r, count):
+        """`count` cold r x r matrices: singular values 1 + 1e-6 k, or four
+        equal ones each of 1, 2, ..., r/4, between Haar bases; or rank 2."""
+        rng = PortableRng(r)
+        if family == "rank-2":
+            g = rng.gaussians(count * 4 * r).reshape(count, 2, 2, r)
+            return list(g[:, 0].transpose(0, 2, 1) @ g[:, 1])
+        if family == "near-repeated":
+            d = 1.0 + 1e-6 * np.arange(r)
+        else:
+            d = np.repeat(np.arange(1.0, r // 4 + 1), 4)
+        return [(rng.haar_orthogonal(r) * d) @ rng.haar_orthogonal(r).T for _ in range(count)]
+
+    @pytest.mark.parametrize(
+        "family, shape",
+        [
+            pytest.param("gaussian", shape, id=f"shape{i}")
+            for i, shape in enumerate([(8, 8), (5, 11), (11, 5), (32, 32), (3, 1)])
+        ]
+        + [
+            pytest.param(family, (r, r), id=f"{family}-{r}")
+            for family in COLD_FAMILIES
+            for r in (16, 24, 32)
+        ],
+    )
+    def test_matches_numpy_svd(self, monkeypatch, family, shape):
+        # cold stacks, where the two QR passes leave the steps the most to do,
+        # must also keep every value to relative accuracy (rank 2 past its
+        # zeros) within the step cap
+        if family == "gaussian":
+            ms = self.stack(shape, 6, 72)
+        else:
+            ms = self.cold(family, shape[0], 6)
+        steps = []
+        original = core.hestenes_sweeps
+
+        def record(b, *args):
+            rows, counts = original(b, *args)
+            steps.append(counts.steps.copy())
+            return rows, counts
+
+        monkeypatch.setattr(core, "hestenes_sweeps", record)
         for m, values in zip(ms, singular_values_many(ms)):
             oracle = np.linalg.svd(m, compute_uv=False)
             assert values.shape == oracle.shape
             assert np.all(np.diff(values) <= 0.0)
             assert np.abs(values - oracle).max() <= 1e-13 * oracle[0]
+            if family != "gaussian":
+                kept = oracle > 1e-12 * oracle[0]
+                assert np.max(np.abs(values - oracle)[kept] / oracle[kept]) <= 1e-14
+        assert steps[0].max() <= _jacobi.STEP_CAP
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
     @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 5), (1, 7), (12, 12)])
@@ -510,7 +556,7 @@ class TestSingularValuesMany:
 
 class TestPinnedSteppedKernels:
     # at 24 rows both kernels step, through LAPACK's QR, and the one-sided
-    # kernel takes its QR passes to its steps: pinned for PINNED_BUILD and
+    # kernel takes two QR passes to its steps: pinned for PINNED_BUILD and
     # PINNED_CORE, so that a change of their bits shows
     def test_singular_values_of_a_24_row_stack(self, pinned_build):
         g = PortableRng(81).gaussians(4 * 24 * 30).reshape(4, 24, 30)
@@ -519,7 +565,7 @@ class TestPinnedSteppedKernels:
         for values in singular_values_many(list(g)):
             digest.update(values.tobytes())
         assert digest.hexdigest() == (
-            "12fa4548a86533016dd58e1034c239dc23c4bffcafefea2beade1fa497950964"
+            "7915859f82ae4cb1a218d593ffe571c959b55bd12550508ac508f13892865963"
         )
 
     def test_eigenpairs_of_an_n_24_stack(self, pinned_build):

@@ -19,7 +19,8 @@ swapped each operation, and the outputs are compared: where they differ, the
 file says how. Host drift then reaches both sides alike, where processes run
 minutes apart can differ by 2x. The untimed round 0 also records each side's
 kernel traffic (`kernel_counts`): per Jacobi kernel and matrix size, the
-matrices solved and their passes, steps and sweeps.
+matrices solved, their passes, steps and sweeps, and how many reach that
+side's step cap.
 
 The end-to-end metrics, their better direction and bound come from the change
 checkout's BENCHMARK.json. The file gets the keys `environment`, `parent`,
@@ -265,10 +266,11 @@ def kernel_traffic(pkg, calls: list):
             setattr(pkg.core, name, original)
 
 
-def kernel_counts(calls: list) -> dict:
+def kernel_counts(calls: list, cap: int) -> dict:
     """Per kernel and matrix shape ("48x48" two-sided, "24x32" one-sided) of
     the `kernel_traffic` calls: the matrices solved, the mean and max of
-    their passes, steps and sweeps, and how many took a sweep at all."""
+    their passes, steps and sweeps, how many took a sweep at all, and how
+    many took `cap` steps, the step cap of the side that made the calls."""
     found = {}
     for kernel, shape, counts in calls:
         found.setdefault(kernel, {}).setdefault(tuple(shape), []).append(counts)
@@ -280,6 +282,7 @@ def kernel_counts(calls: list) -> dict:
                 values = np.concatenate([getattr(c, field) for c in runs])
                 entry[field] = {"mean": round(float(values.mean()), 4), "max": int(values.max())}
             entry["matrices_sweeping"] = sum(int(np.count_nonzero(c.sweeps)) for c in runs)
+            entry["matrices_at_cap"] = sum(int(np.count_nonzero(c.steps >= cap)) for c in runs)
             out.setdefault(kernel, {})["x".join(map(str, shape))] = entry
     return out
 
@@ -318,7 +321,7 @@ def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None)
     how the sides' outputs differ; per seed, after a warm pass, the median
     CPU milliseconds of each side's warm-up (`timed_warm_up`) and whether every
     warm-up of both sides gave one digest; and each side's `kernel_counts`
-    over the warm passes."""
+    over the warm passes, against its own `_jacobi.STEP_CAP`."""
     ms = {side: [] for side in SIDES}
     warm = {side: [] for side in SIDES}
     calls = {side: [] for side in SIDES}
@@ -365,7 +368,9 @@ def in_process_ab(sides: dict, workloads, name: str, seeds: list[int], ops=None)
         "warm_up_digests_agree": digests_agree,
         "same_outputs_every_operation": differences["operations_differing"] == 0,
         "output_drift": differences,
-        "kernel_counts": {side: kernel_counts(calls[side]) for side in SIDES},
+        "kernel_counts": {
+            side: kernel_counts(calls[side], sides[side]._jacobi.STEP_CAP) for side in SIDES
+        },
     }
 
 
