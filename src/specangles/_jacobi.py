@@ -25,20 +25,19 @@ it as J^T B, which keeps small singular values to high relative accuracy
 (Demmel & Veselic 1992), and forms G once from each new B. Its off is the
 largest row cosine |g_pq| / sqrt(g_pp g_qq), a zero row counting as
 orthogonal; at convergence the row norms are the singular values. It first
-takes two norm-pivoted QR passes (`_qr_pass`; Drmac & Veselic 2008), which
-leave a square R with the singular values of the r x m matrix B (r <= m)
-and rows closer to orthogonal than those of B.
+takes two norm-pivoted QR passes (`_qr_pass`; Drmac & Veselic 2008),
+outside the sweep cap, which leave a square R with the singular values of
+the r x m matrix B (r <= m) and rows closer to orthogonal.
 
-The two-sided kernel from n = 16, and the one-sided kernel at every r,
-finish a matrix in three stages. The first is sweeps that bring off to
-0.25 ||A||_F (two-sided) or the two QR passes (one-sided). `_finished` then
-runs all-pairs steps, to the tolerance or 12 steps, and sweeps finish
-whatever is left, each stage run per matrix by `_sweep`. A step takes
-the `_tangent` of every pair p < q at once from the diagonal and pivots of
-A or G, orthonormalizes the identity plus their skew generator by one
-Householder QR (Davies & Modi 1986), whatever the signs of R's diagonal,
-and applies Q as Q^T A Q or Q^T B: one QR and a few products where a sweep
-takes n - 1 rounds. Passes, steps and sweeps count against the sweep cap.
+The two-sided kernel from n = 16 first sweeps until off is at most
+0.25 ||A||_F; the one-sided kernel, at every r, starts from its passes.
+`_finished` then runs all-pairs steps, to the tolerance or 12 steps, and
+sweeps finish whatever is left, each stage run per matrix by `_sweep`. A
+step takes the `_tangent` of every pair p < q at once from the diagonal and
+pivots of A or G, orthonormalizes the identity plus their skew generator by
+one Householder QR (Davies & Modi 1986), whatever the signs of R's
+diagonal, and applies Q as Q^T A Q or Q^T B: one QR and a few products
+where a sweep takes n - 1 rounds. Steps and sweeps count against the cap.
 Below n = 16 two-sided sweeps cost less than the stages that would replace
 them, so there it sweeps alone.
 
@@ -55,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# The all-pairs stage of both kernels (see the module docstring).
+# The all-pairs stage (see the module docstring): STEP_CAP binds both
+# kernels, STEP_MIN_N and STEP_START the two-sided kernel alone.
 STEP_MIN_N = 16
 STEP_START = 0.25
 STEP_CAP = 12
@@ -229,13 +229,11 @@ def _all_pairs_step(a, vec=None):
 
 class Counts(NamedTuple):
     """Per matrix, as both kernels return them: the sweeps done, the final
-    off, the all-pairs steps done and the QR passes done (2 one-sided, 0
-    two-sided)."""
+    off and the all-pairs steps done."""
 
     sweeps: np.ndarray
     off: np.ndarray
     steps: np.ndarray
-    passes: np.ndarray
 
 
 def _finished(stacks, one_step, one_sweep, off_of, tol, budget, off):
@@ -255,13 +253,13 @@ def jacobi_sweeps(a, vec, tol, max_sweeps):
     stacks = (a,) if vec is None else (a, vec)
     if a.shape[1] < STEP_MIN_N:
         sweeps, off = _sweep(stacks, _two_sided_sweep, _off_norm, tol, max_sweeps)
-        return Counts(sweeps, off, *np.zeros((2, *sweeps.shape), dtype=np.int64))
+        return Counts(sweeps, off, np.zeros_like(sweeps))
     start = np.maximum(tol, STEP_START * np.sqrt(np.sum(a * a, axis=(1, 2))))
     first, off = _sweep(stacks, _two_sided_sweep, _off_norm, start, max_sweeps)
     steps, last, off = _finished(
         stacks, _all_pairs_step, _two_sided_sweep, _off_norm, tol, max_sweeps - first, off
     )
-    return Counts(first + last, off, steps, np.zeros_like(steps))
+    return Counts(first + last, off, steps)
 
 
 def _max_cosine(g: np.ndarray) -> np.ndarray:
@@ -274,7 +272,7 @@ def _max_cosine(g: np.ndarray) -> np.ndarray:
 
 
 def _gram(b):
-    """(B B^T, B): the stacks every one-sided stage takes and returns."""
+    """(B B^T, B): the stacks every one-sided step and sweep takes and returns."""
     return b @ b.transpose(0, 2, 1), b
 
 
@@ -294,24 +292,24 @@ def _one_sided_step(g, b):
     return _gram(_step_rotation(g).transpose(0, 2, 1) @ b)
 
 
-def _qr_pass(g, b):
-    """One norm-pivoted QR pass on the stack `b` (k, r, m), r <= m, `g` unread:
-    the rows of each B, sorted by decreasing norm (a stable sort, so ties keep
-    their index order), give B^T P = Q R, and it returns (R R^T, R), r x r."""
+def _qr_pass(b):
+    """One norm-pivoted QR pass on the stack `b` (k, r, m), r <= m: the rows
+    of each B, sorted by decreasing norm (a stable sort, so ties keep their
+    index order), give B^T P = Q R, and it returns the r x r stack R."""
     order = np.argsort(-np.sum(b * b, axis=-1), axis=1, kind="stable")
     pivoted = np.take_along_axis(b, order[:, :, None], axis=1)
-    return _gram(np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r"))
+    return np.linalg.qr(pivoted.transpose(0, 2, 1), mode="r")
 
 
 def hestenes_sweeps(b, tol, max_sweeps):
     """Orthogonalize the rows of each matrix of the stack `b` (k, r, m), r <= m,
     by one-sided Jacobi until its largest row cosine is at most `tol`, at every
-    r in the stages of the module docstring: two QR passes, then steps and
-    sweeps (sweeps alone at STEP_CAP = 0), which stop where the passes, steps
-    and sweeps reach `max_sweeps`. Returns the r x r rows and Counts."""
-    stacks = _qr_pass(*_qr_pass(None, b))
+    r in the stages of the module docstring: two QR passes, one Gram of their
+    R, then steps and sweeps (sweeps alone at STEP_CAP = 0), which stop where
+    the steps and sweeps reach `max_sweeps`. Returns the r x r rows and Counts."""
+    stacks = _gram(_qr_pass(_qr_pass(b)))
     steps, sweeps, off = _finished(
-        stacks, _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps - 2,
+        stacks, _one_sided_step, _one_sided_sweep, _max_cosine, tol, max_sweeps,
         _max_cosine(stacks[0]),
     )
-    return stacks[1], Counts(sweeps, off, steps, np.full_like(steps, 2))
+    return stacks[1], Counts(sweeps, off, steps)

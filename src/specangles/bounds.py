@@ -27,6 +27,7 @@ from .core import (
     Projector,
     SpectralDecomposition,
     SymmetricMatrix,
+    _index,
     _scaled,
     _solved_diagonals,
     decompositions,
@@ -114,7 +115,9 @@ class PerturbationInstance:
         label: str = "",
     ) -> "PerturbationInstance":
         """Instance from the matrices alone: A and V are solved in one kernel
-        call and the results handed to assemble()."""
+        call and the results handed to assemble(). An index that is not an
+        integer (a bool included) raises TypeError before the solve."""
+        sigma_indices = tuple(map(_index, sigma_indices))
         dec_a, dec_v = eigh_many([a, v])
         return cls.assemble(a, v, sigma_indices, dec_a, dec_v.eigenvalues, label)
 
@@ -137,7 +140,7 @@ class PerturbationInstance:
         taken at a power-of-two scale, so the checks hold near overflow."""
         if a.dim != v.dim:
             raise ValueError("dimension mismatch between A and V")
-        idx = tuple(sorted(int(k) for k in sigma_indices))
+        idx = tuple(sorted(map(_index, sigma_indices)))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate sigma indices")
         if not idx or len(idx) >= a.dim:
@@ -519,6 +522,8 @@ def truncate_digits(x: float, digits: int) -> str:
     never rounded up)."""
     if digits < 1:
         raise ValueError("digits must be positive")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     scaled = math.trunc(abs(x) * 10**digits)
     sign = "-" if x < 0 else ""
     return f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"

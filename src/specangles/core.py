@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,6 +32,14 @@ class ConvergenceError(RuntimeError):
 def membership_tol(scale: float) -> float:
     """Membership tolerance 1e-8 * |scale|, relative to what is tested."""
     return MEMBERSHIP_TOL_FACTOR * abs(scale)
+
+
+def _index(k) -> int:
+    """`k` by `operator.index`, whose TypeError refuses a non-integer; a
+    bool, which it would take as 0 or 1, is refused alike."""
+    if isinstance(k, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(k)
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
@@ -190,8 +199,8 @@ def singular_values_many(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
     overflow; the Gram matrix of the rows only picks the rotations, and no
     value is read from the eigenvalues of M^T M. A matrix gets the same
     values alone or in a stack. A non-finite entry raises ValueError. Hard
-    cap of 100 passes, steps and sweeps together; raises ConvergenceError if
-    any matrix misses the tolerance there.
+    cap of 100 steps and sweeps together, past the passes; raises
+    ConvergenceError if any matrix misses the tolerance there.
     """
     if not len(ms):
         return []
@@ -343,7 +352,7 @@ class Projector:
 
     def __post_init__(self):
         p = self.matrix.entries
-        if not 0 <= self.rank <= self.matrix.dim:
+        if not 0 <= _index(self.rank) <= self.matrix.dim:
             raise ValueError("rank out of range")
         residual = float(np.max(np.abs(p @ p - p)))
         if residual > 1e-9:
@@ -362,9 +371,10 @@ def spectral_projector(dec: SpectralDecomposition, indices: Iterable[int]) -> Pr
 
     Built as a sum of outer products over the index set, so degenerate
     clusters are handled exactly regardless of basis rotation within the
-    cluster. Duplicate or out-of-range indices raise ValueError.
+    cluster. Duplicate or out-of-range indices raise ValueError, and an
+    index that is not an integer (a bool included) TypeError.
     """
-    idx = sorted(int(k) for k in indices)
+    idx = sorted(map(_index, indices))
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate indices in selection")
     if idx and (idx[0] < 0 or idx[-1] >= dec.dim):

@@ -17,19 +17,39 @@ def random_psd(n: int, seed: int) -> SymmetricMatrix:
     return SymmetricMatrix(g @ g.T)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
+class KernelCalls(list):
     """Each call of either Jacobi kernel, in order, as (kernel, stack shape):
     ("two-sided", (k, n, n)) for the eigensolver and ("one-sided", (k, r, m))
-    for the SVD, whose stack holds the matrices oriented with r <= m."""
-    calls = []
+    for the SVD, whose stack holds the matrices oriented with r <= m. An
+    entry is added as the call starts; `counts` gets the Counts it returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = []
+
+    def clear(self):
+        super().clear()
+        self.counts.clear()
+
+    def of(self, kernel):
+        """The Counts of each returned call of `kernel`, in order."""
+        return [found for (name, _), found in zip(self, self.counts, strict=True) if name == kernel]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A KernelCalls of the calls of both kernels at the names `core` calls
+    them by."""
+    calls = KernelCalls()
 
     def count(name, kernel):
         original = getattr(core, name)
 
         def counted(a, *args):
             calls.append((kernel, a.shape))
-            return original(a, *args)
+            out = original(a, *args)
+            calls.counts.append(out if kernel == "two-sided" else out[1])
+            return out
 
         monkeypatch.setattr(core, name, counted)
 

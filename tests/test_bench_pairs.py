@@ -247,14 +247,12 @@ def test_in_process_ab_on_a_few_operations_of_each_workload(bench_pairs):
             assert sum(entry["matrices"] for entry in two_sided.values()) == 2 * 3 * 3
             for size, entry in two_sided.items():
                 assert int(size.split("x")[0]) <= 10
-                assert entry["passes"]["max"] == entry["steps"]["max"] == 0
+                assert entry["steps"]["max"] == 0
         else:
-            # the path solves at n = 48 and 64 step; the angle stacks also pass
+            # the path solves at n = 48 and 64 step
             two_sided = counts["change"]["two-sided"]
             assert set(two_sided) <= {"48x48", "64x64"}
             assert all(entry["steps"]["mean"] > 0.0 for entry in two_sided.values())
-            one_sided = counts["change"]["one-sided"].values()
-            assert all(entry["passes"]["mean"] >= 2.0 for entry in one_sided)
         # the workloads module keeps the specangles it imported
         assert workloads.run_campaign.__module__ == "specangles.campaign"
 
@@ -315,28 +313,26 @@ def test_in_process_ab_says_how_the_outputs_differ(bench_pairs, monkeypatch):
 
 
 def test_kernel_counts_per_kernel_and_size(bench_pairs):
-    def counts(sweeps, steps, passes):
-        return types.SimpleNamespace(
-            sweeps=np.array(sweeps), steps=np.array(steps), passes=np.array(passes)
-        )
+    def counts(sweeps, steps):
+        return types.SimpleNamespace(sweeps=np.array(sweeps), steps=np.array(steps))
 
     calls = [
-        ("two-sided", (4, 4), counts([0, 3], [0, 0], [0, 0])),
-        ("one-sided", (3, 5), counts([0], [4], [2])),
-        ("two-sided", (4, 4), counts([1], [0], [0])),
-        ("two-sided", (16, 16), counts([0, 0], [5, 8], [0, 0])),
+        ("two-sided", (4, 4), counts([0, 3], [0, 0])),
+        ("one-sided", (3, 5), counts([0], [4])),
+        ("two-sided", (4, 4), counts([1], [0])),
+        ("two-sided", (16, 16), counts([0, 0], [5, 8])),
     ]
     assert bench_pairs.kernel_counts(calls, 8) == {
         "one-sided": {
-            "3x5": {"matrices": 1, "passes": {"mean": 2.0, "max": 2},
+            "3x5": {"matrices": 1,
                     "steps": {"mean": 4.0, "max": 4}, "sweeps": {"mean": 0.0, "max": 0},
                     "matrices_sweeping": 0, "matrices_at_cap": 0},
         },
         "two-sided": {
-            "4x4": {"matrices": 3, "passes": {"mean": 0.0, "max": 0},
+            "4x4": {"matrices": 3,
                     "steps": {"mean": 0.0, "max": 0}, "sweeps": {"mean": 1.3333, "max": 3},
                     "matrices_sweeping": 2, "matrices_at_cap": 0},
-            "16x16": {"matrices": 2, "passes": {"mean": 0.0, "max": 0},
+            "16x16": {"matrices": 2,
                       "steps": {"mean": 6.5, "max": 8}, "sweeps": {"mean": 0.0, "max": 0},
                       "matrices_sweeping": 0, "matrices_at_cap": 1},
         },

@@ -93,6 +93,11 @@ class TestConstants:
         with pytest.raises(ValueError):
             truncate_digits(1.0, 0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_truncation_refuses_non_finite_values(self, x):
+        with pytest.raises(ValueError, match=f"x must be finite, got {x}"):
+            truncate_digits(x, 3)
+
 
 class TestKappa:
     def test_frozen_root(self):
@@ -375,6 +380,21 @@ def sharpness_matrices(v: float):
 
 
 class TestPerturbationInstance:
+    @pytest.mark.parametrize("indices", [[0.9], [1.5, 2.7], [True], [np.float64(1.0)]])
+    def test_non_integer_indices_refused_before_the_solve(self, kernel_calls, indices):
+        a = SymmetricMatrix.diagonal([0.0, 2.0, 4.0])
+        v = SymmetricMatrix(np.zeros((3, 3)))
+        dec_a = eigh(a)
+        kernel_calls.clear()
+        with pytest.raises(TypeError, match="integer"):
+            PerturbationInstance.build(a, v, indices)
+        with pytest.raises(TypeError, match="integer"):
+            PerturbationInstance.assemble(a, v, indices, dec_a, np.zeros(3))
+        assert kernel_calls == []
+        # numpy integers stay indices
+        inst = PerturbationInstance.build(a, v, [np.int64(2), np.intp(0)])
+        assert inst.sigma_indices == (0, 2) and type(inst.sigma_indices[0]) is int
+
     def test_derived_fields(self):
         a = SymmetricMatrix.diagonal([0.0, 1.0, 5.0, 6.0])
         v = SymmetricMatrix.diagonal([0.5, 0.0, 0.0, 0.0])

@@ -463,22 +463,12 @@ class TestWarmPath:
             lifted = core.SpectralDecomposition(x.eigenvalues, q @ x.eigenvectors)
             assert residual_and_defect(m, lifted)[0] > 1e-12
 
-    def test_warm_start_saves_sweeps(self, monkeypatch):
+    def test_warm_start_saves_sweeps(self, kernel_calls):
         # sweeps and steps are pure functions of the input matrix. At n = 48
         # a path matrix starts with off <= 0.25 ||M||_F, so all-pairs steps
         # take it from the start; a cold matrix needs two or three sweeps
         # first. A matrix sweeps after its steps only when they hit the cap
         # of 12 before the tolerance: 4 of these 72 warm matrices do, once.
-        recorded = []
-        original = core.jacobi_sweeps
-
-        def record(a, *args):
-            counts = original(a, *args)
-            recorded.append((counts[0].copy(), counts.steps.copy()))
-            return counts
-
-        monkeypatch.setattr(core, "jacobi_sweeps", record)
-        warm, cold = [], []
         times = campaign.T_GRID[1:]
         for plan in GENERATED_PLANS:
             for ratio in (0.25, 0.65, 0.95):
@@ -486,10 +476,11 @@ class TestWarmPath:
                     inst = campaign.build_instance(plan, 48, ratio, seed)
                     campaign.walk_path(inst, [(0.0, t) for t in times])
                     core.eigh_many([inst.perturbed(t) for t in times])
-                    cold.append(recorded.pop())
-                    warm.append(recorded.pop())
+        # per instance, the warm path solve and then the cold one
+        solves = kernel_calls.of("two-sided")
         (warm_sweeps, warm_steps), (cold_sweeps, cold_steps) = (
-            [np.concatenate(counts) for counts in zip(*side)] for side in (warm, cold)
+            [np.concatenate([getattr(c, field) for c in side]) for field in ("sweeps", "steps")]
+            for side in (solves[0::2], solves[1::2])
         )
         assert warm_sweeps.size == 72
         assert warm_sweeps.max() <= 1 and np.sum(warm_sweeps == 0) >= 68
@@ -499,37 +490,37 @@ class TestWarmPath:
         assert max(warm_steps.max(), cold_steps.max()) <= _jacobi.STEP_CAP
         assert cold_sweeps.mean() - warm_sweeps.mean() >= 2.0
 
-    def test_preconditioning_saves_one_sided_sweeps(self, monkeypatch):
+    def test_preconditioning_saves_one_sided_sweeps(self, monkeypatch, kernel_calls):
         # the angle stacks of the instances above, ten 24 x 24 products each:
         # two QR passes bring their rows near orthogonal, so every kernel call
         # steps first, and the steps finish every one of these 180 matrices
         # within the step cap, so none sweeps
-        counts, calls = [], []
-        kernel = core.hestenes_sweeps
-        sweep, step = _jacobi._one_sided_sweep, _jacobi._one_sided_step
+        runs = {}
 
-        def record(b, *args):
-            calls.append([])
-            rows, found = kernel(b, *args)
-            counts.append(found)
-            return rows, found
+        def logged(name):
+            run = getattr(_jacobi, name)
 
-        def logged(name, run):
-            return lambda g, b: (calls[-1].append(name), run(g, b))[1]
+            def spy(*stacks):
+                runs.setdefault(len(kernel_calls), []).append(name)
+                return run(*stacks)
 
-        monkeypatch.setattr(core, "hestenes_sweeps", record)
-        monkeypatch.setattr(_jacobi, "_one_sided_sweep", logged("sweep", sweep))
-        monkeypatch.setattr(_jacobi, "_one_sided_step", logged("step", step))
+            monkeypatch.setattr(_jacobi, name, spy)
+
+        for name in ("_qr_pass", "_one_sided_step", "_one_sided_sweep"):
+            logged(name)
         pairs = [(s, t) for i, s in enumerate(campaign.T_GRID) for t in campaign.T_GRID[i + 1 :]]
         for plan in GENERATED_PLANS:
             for ratio in (0.25, 0.65, 0.95):
                 for seed in (9, 10):
                     inst = campaign.build_instance(plan, 48, ratio, seed)
                     campaign.walk_path(inst, pairs)
-        assert len(calls) == 18 and all(runs[0] == "step" for runs in calls)
-        sweeps, _, steps, passes = (np.concatenate(found) for found in zip(*counts))
-        assert passes.size == 180
-        assert passes.tolist() == [2] * 180 and sweeps.tolist() == [0] * 180
+        one_sided = [i for i, (kernel, _) in enumerate(kernel_calls, 1) if kernel == "one-sided"]
+        assert len(one_sided) == 18 and sorted(runs) == one_sided
+        for call in runs.values():
+            assert call.count("_qr_pass") == 2
+            assert call[:3] == ["_qr_pass", "_qr_pass", "_one_sided_step"]
+        sweeps, _, steps = (np.concatenate(found) for found in zip(*kernel_calls.of("one-sided")))
+        assert sweeps.size == 180 and sweeps.tolist() == [0] * 180
         assert steps.max() <= _jacobi.STEP_CAP
 
 
@@ -555,23 +546,16 @@ class TestAllPairsSteps:
             SymmetricMatrix(sym + sym.T).scaled(1e-6),
         ]
 
-    def test_stack_gives_the_bits_of_each_matrix_alone(self, monkeypatch):
-        steps = []
-        original = core.jacobi_sweeps
-
-        def record(a, *args):
-            counts = original(a, *args)
-            steps.append(counts.steps.copy())
-            return counts
-
-        monkeypatch.setattr(core, "jacobi_sweeps", record)
+    def test_stack_gives_the_bits_of_each_matrix_alone(self, kernel_calls):
         ms = self.stack()
+        kernel_calls.clear()
         for m, dec in zip(ms, eigh_many(ms), strict=True):
             alone = eigh(m)
             assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
             assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
         # the warm, cold and PSD matrices step; zero and the diagonal need nothing
-        assert np.all(steps[0][:3] > 0) and steps[0][3:5].tolist() == [0, 0]
+        steps = kernel_calls.of("two-sided")[0].steps
+        assert np.all(steps[:3] > 0) and steps[3:5].tolist() == [0, 0]
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
     def test_degenerate_inputs_meet_the_warm_path_bounds(self, scale):
@@ -606,23 +590,27 @@ class TestAllPairsSteps:
     @pytest.mark.parametrize("r", [15, 16])
     def test_one_sided_kernel_steps_at_every_row_count(self, monkeypatch, r):
         # the one-sided kernel has no size rule and returns the same Counts
-        # (sweeps, off, steps, passes) with its r x r rows: square and wide
-        # stacks on both sides of the two-sided kernel's 16 take two passes,
-        # then steps, and need fewer sweeps than two passes and sweeps alone
-        # (a step cap of 0) take
+        # (sweeps, off, steps) with its r x r rows: square and wide stacks on
+        # both sides of the two-sided kernel's 16 take two QR passes per
+        # call, then steps, and need fewer sweeps than two passes and sweeps
+        # alone (a step cap of 0) take
+        passes = []
+        qr_pass = _jacobi._qr_pass
+        monkeypatch.setattr(_jacobi, "_qr_pass", lambda b: (passes.append(b.shape), qr_pass(b))[1])
         for m in (r, r + 9):
             b = PortableRng(100 + m).gaussians(2 * r * m).reshape(2, r, m)
             rows, counts = _jacobi.hestenes_sweeps(b, 1e-13, 100)
-            sweeps, off, steps, passes = counts
+            sweeps, off, steps = counts
             assert isinstance(counts, _jacobi.Counts) and counts[0] is counts.sweeps is sweeps
             assert rows.shape == (2, r, r) and np.all(off <= 1e-13)
-            assert steps.dtype == passes.dtype == np.int64
+            assert steps.dtype == sweeps.dtype == np.int64
             assert np.all(steps > 0) and steps.max() <= _jacobi.STEP_CAP
-            assert np.all(passes == 2)
             with monkeypatch.context() as patch:
                 patch.setattr(_jacobi, "STEP_CAP", 0)
                 _, alone = _jacobi.hestenes_sweeps(b, 1e-13, 100)
-            assert alone.steps.tolist() == [0, 0] and alone.passes.tolist() == [2, 2]
+            assert alone.steps.tolist() == [0, 0]
+            assert passes == [(2, r, m), (2, r, r)] * 2
+            passes.clear()
             assert np.all(sweeps < alone.sweeps)
 
     @pytest.mark.parametrize("case", ["two-sided-16", "two-sided-24", "gram-24"])
@@ -642,15 +630,28 @@ class TestAllPairsSteps:
             assert np.array_equal(flipped, d[:, :, None] * q * d[:, None, :])
 
     def test_one_sided_runs_return_the_gram_of_their_rows(self):
-        # a QR pass, a step and a sweep each return (G, B) with G = B B^T to
-        # the last bit, so no stage forms the Gram matrix of its input again
+        # a step and a sweep each return (G, B) with G = B B^T to the last
+        # bit, so no stage forms the Gram matrix of its input again
         b = PortableRng(24).gaussians(3 * 24 * 30).reshape(3, 24, 30)
         b[1] *= np.logspace(0, -12, 24)[:, None]
-        stacks = _jacobi._qr_pass(None, b)
-        for run in (_jacobi._qr_pass, _jacobi._one_sided_step, _jacobi._one_sided_sweep) * 2:
+        stacks = _jacobi._gram(_jacobi._qr_pass(b))
+        for run in (_jacobi._one_sided_step, _jacobi._one_sided_sweep) * 2:
             g, rows = stacks = run(*stacks)
             assert np.array_equal(g, rows @ rows.transpose(0, 2, 1))
             assert rows.shape == (3, 24, 24)
+
+    def test_one_sided_kernel_forms_one_gram_before_its_steps(self, monkeypatch):
+        # the QR passes return R alone, so a call forms the Gram matrix of
+        # its rows once, from the second pass, before the first step
+        runs = []
+        for name in ("_gram", "_qr_pass", "_one_sided_step"):
+            run = getattr(_jacobi, name)
+            spy = lambda *stacks, name=name, run=run: (runs.append(name), run(*stacks))[1]
+            monkeypatch.setattr(_jacobi, name, spy)
+        b = PortableRng(24).gaussians(2 * 24 * 30).reshape(2, 24, 30)
+        _, counts = _jacobi.hestenes_sweeps(b, 1e-13, 100)
+        assert np.all(counts.steps > 0)
+        assert runs[: runs.index("_one_sided_step")] == ["_qr_pass", "_qr_pass", "_gram"]
 
 
 def path_angle(inst) -> float:

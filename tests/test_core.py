@@ -213,7 +213,7 @@ class TestJacobiKernel:
         tol = 1e-13 * (1.0 + np.sqrt(np.sum(a * a, axis=(1, 2))))
         sweeps, off, *_ = _jacobi.jacobi_sweeps(a, vec, tol, 100)
         assert np.all(sweeps > 0) and np.all(off <= tol)
-        _, (sweeps, off, steps, _) = _jacobi.hestenes_sweeps(g[:, :5], 1e-13, 100)
+        _, (sweeps, off, steps) = _jacobi.hestenes_sweeps(g[:, :5], 1e-13, 100)
         assert np.all(steps + sweeps > 0) and np.all(off <= 1e-13)
 
     def test_one_sided_off_is_the_largest_row_cosine(self):
@@ -415,7 +415,7 @@ class TestSingularValuesMany:
             for r in (16, 24, 32)
         ],
     )
-    def test_matches_numpy_svd(self, monkeypatch, family, shape):
+    def test_matches_numpy_svd(self, kernel_calls, family, shape):
         # cold stacks, where the two QR passes leave the steps the most to do,
         # must also keep every value to relative accuracy (rank 2 past its
         # zeros) within the step cap
@@ -423,15 +423,6 @@ class TestSingularValuesMany:
             ms = self.stack(shape, 6, 72)
         else:
             ms = self.cold(family, shape[0], 6)
-        steps = []
-        original = core.hestenes_sweeps
-
-        def record(b, *args):
-            rows, counts = original(b, *args)
-            steps.append(counts.steps.copy())
-            return rows, counts
-
-        monkeypatch.setattr(core, "hestenes_sweeps", record)
         for m, values in zip(ms, singular_values_many(ms)):
             oracle = np.linalg.svd(m, compute_uv=False)
             assert values.shape == oracle.shape
@@ -440,7 +431,7 @@ class TestSingularValuesMany:
             if family != "gaussian":
                 kept = oracle > 1e-12 * oracle[0]
                 assert np.max(np.abs(values - oracle)[kept] / oracle[kept]) <= 1e-14
-        assert steps[0].max() <= _jacobi.STEP_CAP
+        assert kernel_calls.counts[0].steps.max() <= _jacobi.STEP_CAP
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
     @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 5), (1, 7), (12, 12)])
@@ -460,7 +451,9 @@ class TestSingularValuesMany:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**80, 2.0**-80])
     @pytest.mark.parametrize("r", [12, 16, 24, 32])
-    def test_graded_rows_keep_their_values_through_the_steps(self, monkeypatch, r, scale):
+    def test_graded_rows_keep_their_values_through_the_steps(
+        self, monkeypatch, kernel_calls, r, scale
+    ):
         # B = diag(d) X with Gaussian X and d graded from 1 down to 1e-100 in
         # groups of four equal entries, shuffled. Two QR passes separate the
         # groups but leave the rows within a group far from orthogonal (the
@@ -473,18 +466,10 @@ class TestSingularValuesMany:
         for _ in range(10):
             d = np.repeat(np.logspace(0.0, -100.0, r // 4), 4)[np.argsort(rng.uniforms(r))]
             ms.append(scale * d[:, None] * rng.gaussians(r * r).reshape(r, r))
-        steps = []
-        original = core.hestenes_sweeps
-
-        def record(b, *args):
-            rows, counts = original(b, *args)
-            steps.append(counts.steps.copy())
-            return rows, counts
-
-        monkeypatch.setattr(core, "hestenes_sweeps", record)
         stepped = singular_values_many(ms)
         monkeypatch.setattr(_jacobi, "STEP_CAP", 0)
         swept = singular_values_many(ms)
+        steps = [found.steps for found in kernel_calls.counts]
         assert np.all(steps[0] > 0) and steps[1].tolist() == [0] * 10
         for values, alone in zip(stepped, swept, strict=True):
             assert np.all(alone > 0.0)
@@ -527,22 +512,13 @@ class TestSingularValuesMany:
         with pytest.raises(ValueError):
             singular_values_many([np.zeros((2, 3)), np.zeros((3, 2))])
 
-    def test_zero_rows_at_24_rows_give_exact_zeros(self, monkeypatch):
+    def test_zero_rows_at_24_rows_give_exact_zeros(self, kernel_calls):
         # 24 x 30 matrices with four zero rows, one with a fifth, and their
         # transposes: the QR passes keep a zero row exactly zero, and so do
         # the steps, whose rotations leave a zero row alone
         g = PortableRng(79).gaussians(3 * 24 * 30).reshape(3, 24, 30)
         g[:, [3, 10, 17, 23]] = 0.0
         g[1, 5] = 0.0
-        counts = []
-        original = core.hestenes_sweeps
-
-        def record(b, *args):
-            rows, found = original(b, *args)
-            counts.append(found)
-            return rows, found
-
-        monkeypatch.setattr(core, "hestenes_sweeps", record)
         for ms in (list(g), list(g.transpose(0, 2, 1))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -551,6 +527,7 @@ class TestSingularValuesMany:
                 oracle = np.linalg.svd(m, compute_uv=False)
                 assert values[-zeros:].tolist() == [0.0] * zeros and values[-zeros - 1] > 0.1
                 assert np.abs(values - oracle).max() <= 1e-13 * oracle[0]
+        counts = kernel_calls.counts
         assert len(counts) == 2 and all(np.all(found.steps > 0) for found in counts)
 
 
@@ -826,6 +803,20 @@ class TestProjectors:
         dec = eigh(SymmetricMatrix(np.eye(3)))
         with pytest.raises(ValueError):
             spectral_projector(dec, (1, 1))
+
+    @pytest.mark.parametrize("indices", [[0.7], [1.5, 2.7], [True], [np.float64(0.0)]])
+    def test_non_integer_indices_refused(self, indices):
+        dec = eigh(random_symmetric(4, 22))
+        with pytest.raises(TypeError, match="integer"):
+            spectral_projector(dec, indices)
+        assert spectral_projector(dec, [np.int64(1)]).rank == 1
+
+    @pytest.mark.parametrize("rank", [1.0, True, np.float64(1.0)])
+    def test_non_integer_rank_refused(self, rank):
+        m = SymmetricMatrix.diagonal([1.0, 0.0])
+        with pytest.raises(TypeError, match="integer"):
+            Projector(m, rank=rank)
+        assert Projector(m, rank=np.int64(1)).rank == 1
 
     def test_commutes_with_matrix(self):
         m = random_symmetric(8, 31)

@@ -19,8 +19,8 @@ swapped each operation, and the outputs are compared: where they differ, the
 file says how. Host drift then reaches both sides alike, where processes run
 minutes apart can differ by 2x. The untimed round 0 also records each side's
 kernel traffic (`kernel_counts`): per Jacobi kernel and matrix size, the
-matrices solved, their passes, steps and sweeps, and how many reach that
-side's step cap.
+matrices solved, their steps and sweeps, and how many reach that side's
+step cap.
 
 The end-to-end metrics, their better direction and bound come from the change
 checkout's BENCHMARK.json. The file gets the keys `environment`, `parent`,
@@ -269,8 +269,8 @@ def kernel_traffic(pkg, calls: list):
 def kernel_counts(calls: list, cap: int) -> dict:
     """Per kernel and matrix shape ("48x48" two-sided, "24x32" one-sided) of
     the `kernel_traffic` calls: the matrices solved, the mean and max of
-    their passes, steps and sweeps, how many took a sweep at all, and how
-    many took `cap` steps, the step cap of the side that made the calls."""
+    their steps and sweeps, how many took a sweep at all, and how many took
+    `cap` steps, the step cap of the side that made the calls."""
     found = {}
     for kernel, shape, counts in calls:
         found.setdefault(kernel, {}).setdefault(tuple(shape), []).append(counts)
@@ -278,7 +278,7 @@ def kernel_counts(calls: list, cap: int) -> dict:
     for kernel, sizes in sorted(found.items()):
         for shape, runs in sorted(sizes.items()):
             entry = {"matrices": sum(len(c.sweeps) for c in runs)}
-            for field in ("passes", "steps", "sweeps"):
+            for field in ("steps", "sweeps"):
                 values = np.concatenate([getattr(c, field) for c in runs])
                 entry[field] = {"mean": round(float(values.mean()), 4), "max": int(values.max())}
             entry["matrices_sweeping"] = sum(int(np.count_nonzero(c.sweeps)) for c in runs)
