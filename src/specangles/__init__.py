@@ -22,7 +22,6 @@ from .core import (
 from .geometry import (
     AngleReport,
     BlockSplit,
-    angle_report,
     angle_reports,
     block_split,
     psd_block_bounds,

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .core import (
     IntervalSet,
-    Projector,
     SpectralDecomposition,
     SymmetricMatrix,
     _index,
@@ -181,9 +180,6 @@ class PerturbationInstance:
             geometry=geometry,
         )
 
-    def perturbed(self, t: float) -> SymmetricMatrix:
-        return self.a + self.v.scaled(t)
-
     def spectra(self, times: Iterable[float]) -> dict[float, SpectralDecomposition]:
         """Eigendecompositions of A + tV at each distinct t of `times`, in
         first-seen order; ValueError, before any solve, unless every t lies
@@ -220,17 +216,13 @@ class OmegaComponent:
     """The tracked spectral component of A + tV: indices into its ascending
     spectrum (sigma's, by Weyl), the decomposition they index, and the bases
     (U_t, U_perp_t) of Ran P_t and of its complement (the selected
-    eigenvector columns and the rest, in index order). The n x n projector
-    P_t is built on first access only."""
+    eigenvector columns and the rest, in index order), from which
+    `geometry.angle_reports` measures every angle; P_t itself is not formed."""
 
     t: float
     omega_indices: tuple[int, ...]
     dec: SpectralDecomposition
     bases: tuple[np.ndarray, np.ndarray]
-
-    @cached_property
-    def projector(self) -> Projector:
-        return spectral_projector(self.dec, self.omega_indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,11 +511,16 @@ def angle_bounds(v_norm: float, d: float, convex: bool) -> dict[str, float]:
 def truncate_digits(x: float, digits: int) -> str:
     """Decimal rendering truncated toward zero, matching how the critical
     constants are conventionally printed (0.45483996... prints as 0.4548399,
-    never rounded up)."""
+    never rounded up). `digits` must be an integer (TypeError otherwise) with
+    |x| * 10**digits a finite float (ValueError otherwise)."""
+    digits = _index(digits)  # a Python int, so 10**digits cannot wrap as numpy's would
     if digits < 1:
         raise ValueError("digits must be positive")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    scaled = math.trunc(abs(x) * 10**digits)
+    try:
+        scaled = math.trunc(abs(x) * 10**digits)
+    except OverflowError:
+        raise ValueError(f"digits={digits} takes |x| * 10**digits past the float range") from None
     sign = "-" if x < 0 else ""
     return f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"

@@ -82,14 +82,6 @@ class SymmetricMatrix:
     def diagonal(cls, values: Iterable[float]) -> "SymmetricMatrix":
         return cls(np.diag(np.asarray(list(values), dtype=float)))
 
-    def scaled(self, factor: float) -> "SymmetricMatrix":
-        return SymmetricMatrix(self.entries * float(factor))
-
-    def __add__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SymmetricMatrix(self.entries + other.entries)
-
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "rows": self.entries.tolist()})
 
@@ -366,6 +358,7 @@ class Projector:
         return self.matrix.dim
 
 
+# Kept because the benchmark's tracer names it; it can go with ROADMAP item 1.
 def spectral_projector(dec: SpectralDecomposition, indices: Iterable[int]) -> Projector:
     """Projector onto the span of the eigenvectors at `indices`.
 

@@ -24,7 +24,7 @@ Bases = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class AngleReport:
-    """Sine spectrum of a projector pair, descending, with the two derived
+    """Sine spectrum of a pair of subspaces, descending, with the two derived
     scalars used by every bound: max_angle = arcsin(sines[0]) and
     sin2_norm = max over k of 2*s_k*sqrt(1 - s_k^2)."""
 
@@ -44,28 +44,14 @@ class BlockSplit:
     basis: np.ndarray
 
 
-def angle_report(p: Projector, q: Projector) -> AngleReport:
-    """Sine spectrum |spec(P - Q)| of one projector pair, solving no
-    eigenproblem: since P - Q = P(I - Q) - (I - P)Q, its nonzero part is the
-    nonzero singular values of (I - P)Q and of P(I - Q) together, both taken
-    in one call of the one-sided kernel; they number at most n. Bit-identical
-    projectors give exact zeros without a solve."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    mp, mq = p.matrix.entries, q.matrix.entries
-    if np.array_equal(mp, mq):
-        return _report([], p.dim)
-    pq = mp @ mq
-    return _report(singular_values_many([mq - pq, mp - pq]), p.dim)
-
-
 def angle_reports(pairs: Sequence[tuple[Bases, Bases]]) -> list[AngleReport]:
-    """Sine spectra of pairs of equal-dimension subspaces, from their bases.
+    """Sine spectra of pairs of equal-dimension subspaces, from their bases:
+    the program's one angle route.
 
     Each side is (U, U_perp): U is n x r and spans the subspace, U_perp is
     n x (n - r) and spans its complement, with one n and one r, 0 < r < n,
-    across the call; anything else raises ValueError, and projectors of
-    other ranks go through `angle_report`. The sines are |spec(P - Q)|, whose
+    across the call; anything else raises ValueError. The sines are
+    |spec(P - Q)|, P and Q the projectors onto the two subspaces, whose
     nonzero part at equal ranks is +-sigma(U_perp_P^T U_Q): that product is
     formed per pair, each of its singular values appears twice, and all the
     products go through one call of the one-sided kernel. Nothing forms
@@ -84,17 +70,16 @@ def angle_reports(pairs: Sequence[tuple[Bases, Bases]]) -> list[AngleReport]:
     ]
     values = iter(singular_values_many(products))
     return [
-        _report([next(values)] * 2 if m else [], len(u_s))
+        _report(next(values) if m else None, len(u_s))
         for ((u_s, _), _), m in zip(pairs, moved)
     ]
 
 
-def _report(values: list[np.ndarray], n: int) -> AngleReport:
+def _report(values: np.ndarray | None, n: int) -> AngleReport:
+    # n sines: each descending singular value of one product twice, then zeros
     sines = np.zeros(n)
-    if values:
-        found = np.sort(np.concatenate(values))[::-1][:n]
-        sines[: found.size] = found
-    sines = np.clip(sines, 0.0, 1.0)
+    if values is not None:
+        sines[: 2 * values.size] = np.repeat(np.clip(values, 0.0, 1.0), 2)
     max_angle = math.asin(float(sines[0]))
     doubled = 2.0 * sines * np.sqrt(1.0 - sines * sines)
     return AngleReport(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .bounds import C_CRIT_SEM, DEFAULT_TOL, PerturbationInstance, bound_corollary
 from .campaign import walk_path
+from .core import _index
 
 LAMBDA_MAX = 2.0 / math.pi
 PRODUCT_TOL = 1e-8
@@ -206,7 +207,7 @@ def optimize(x: float, n_max: int = 8) -> PartitionPlan:
     """
     if not 0.0 <= x <= C_CRIT_SEM:
         raise ValueError(f"x={x!r} outside [0, {C_CRIT_SEM!r}]")
-    if n_max < 1:
+    if _index(n_max) < 1:
         raise ValueError("n_max must be at least 1")
     if x == 0.0:
         return PartitionPlan(x=0.0, lambdas=(), objective=0.0)
@@ -305,7 +306,7 @@ def riemann_limit_check(x: float, n: int) -> float:
     """
     if not 0.0 <= x < 1.0:
         raise ValueError("x must lie in [0, 1)")
-    if n < 1:
+    if _index(n) < 1:
         raise ValueError("n must be at least 1")
     lambdas = [(x / n) / (1.0 - (j / n) * x) for j in range(n)]
     return make_plan(x, lambdas).objective

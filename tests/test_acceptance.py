@@ -3,9 +3,11 @@
 Each test asserts its criterion at the pinned tolerance and prints one PASS
 line, so `pytest -v` (or -s) reads as a per-criterion verdict list. The
 randomized criteria all draw from the bundled 500-trial campaign config so
-the shipped config is exercised end to end.
+the shipped config is exercised end to end; one more test pins the bytes of
+that campaign's rows.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -22,21 +24,27 @@ from specangles import (
     PortableRng,
     Projector,
     SymmetricMatrix,
-    angle_report,
     block_example,
     bound_log,
     constants,
     kappa_solve,
-    omega_component,
     optimize,
     psd_block_bounds,
     riemann_limit_check,
+    rows_jsonl,
     run_campaign,
     sharpness_pair,
     truncate_digits,
+    walk_path,
 )
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "verify500.json"
+
+# sha256 of the campaign's rows as `specangles verify --format json` writes
+# them. Haar bases go through LAPACK's QR and matrix products through BLAS, so
+# the bytes hold for conftest's PINNED_BUILD and PINNED_CORE only, as for the
+# verify cases of test_cli's TestPinnedOutputs.
+VERIFY500_JSONL_SHA256 = "373925859d6fc772b31244e929c82b309c88c15fa1e3970c4c69c854ccc3a7e4"
 
 
 @pytest.fixture(scope="session")
@@ -61,14 +69,13 @@ def test_criterion_01_sharpness_family():
     for k in range(1, 20):
         v = 0.05 * k
         inst = sharpness_pair(v)
-        p0 = omega_component(inst, 0.0).projector
-        p1 = omega_component(inst, 1.0).projector
-        theta = angle_report(p0, p1).max_angle
+        _, (report,) = walk_path(inst, [(0.0, 1.0)])
+        theta = report.max_angle
         target = 0.5 * math.asin(v)
         assert abs(theta - target) <= 1e-9
         x = np.array([math.cos(target), -math.sin(target)])
         lam = (v - math.sqrt(1.0 - v * v)) / 2.0
-        residual = np.abs(inst.perturbed(1.0).entries @ x - lam * x).max()
+        residual = np.abs((inst.a.entries + inst.v.entries) @ x - lam * x).max()
         assert residual <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -225,3 +232,10 @@ def test_criterion_12_rank_one_motion(campaign):
     worst = min(row.margin for row in rows)
     assert worst >= -1e-8
     announce(12, f"rank-one projector motion under ratio on 200 trials (worst {worst:+.2e})")
+
+
+def test_verify500_rows_keep_their_bytes(pinned_build, campaign):
+    reports, _ = campaign
+    text = rows_jsonl(reports)
+    assert text.count("\n") == 5275
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY500_JSONL_SHA256

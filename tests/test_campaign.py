@@ -415,6 +415,11 @@ class TestSpectra:
 GENERATED_PLANS = ("convex-separated", "doubly-interleaved", "rank-one")
 
 
+def path_matrix(inst, t: float) -> SymmetricMatrix:
+    """The stored A + tV itself, solved cold."""
+    return SymmetricMatrix(inst.a.entries + t * inst.v.entries)
+
+
 def residual_and_defect(m: np.ndarray, dec) -> tuple[float, float]:
     """||M U - U Lambda||_F / ||M||_F and max |U^T U - I| of one decomposition."""
     u = dec.eigenvectors
@@ -431,10 +436,10 @@ class TestWarmPath:
     def test_lifted_pairs_solve_the_stored_matrix(self, plan, n, ratio):
         inst = campaign.build_instance(plan, n, ratio, 500 + n)
         times = campaign.T_GRID[1:]
-        cold = core.eigh_many([inst.perturbed(t) for t in times])
+        cold = core.eigh_many([path_matrix(inst, t) for t in times])
         warm = inst.spectra(times)
         for t, reference in zip(times, cold):
-            m = inst.perturbed(t).entries
+            m = path_matrix(inst, t).entries
             dec = warm[t]
             residual, defect = residual_and_defect(m, dec)
             assert residual <= 1e-12
@@ -457,9 +462,9 @@ class TestWarmPath:
         )
         w = core.SymmetricMatrix(q.T @ inst.v.entries @ q)
         for t, dec in inst.spectra(campaign.T_GRID[1:]).items():
-            m = inst.perturbed(t).entries
+            m = path_matrix(inst, t).entries
             assert residual_and_defect(m, dec)[0] <= 1e-12
-            x = eigh(core.SymmetricMatrix.diagonal(dec_a.eigenvalues) + w.scaled(t))
+            x = eigh(SymmetricMatrix(np.diag(dec_a.eigenvalues) + t * w.entries))
             lifted = core.SpectralDecomposition(x.eigenvalues, q @ x.eigenvectors)
             assert residual_and_defect(m, lifted)[0] > 1e-12
 
@@ -475,7 +480,7 @@ class TestWarmPath:
                 for seed in (9, 10):
                     inst = campaign.build_instance(plan, 48, ratio, seed)
                     campaign.walk_path(inst, [(0.0, t) for t in times])
-                    core.eigh_many([inst.perturbed(t) for t in times])
+                    core.eigh_many([path_matrix(inst, t) for t in times])
         # per instance, the warm path solve and then the cold one
         solves = kernel_calls.of("two-sided")
         (warm_sweeps, warm_steps), (cold_sweeps, cold_steps) = (
@@ -536,14 +541,15 @@ class TestAllPairsSteps:
         q = inst.dec_a.eigenvectors
         g = PortableRng(n).gaussians(n * 3).reshape(n, 3)
         sym = PortableRng(43).gaussians(n * n).reshape(n, n)
+        qaq, qvq = (SymmetricMatrix(q.T @ m.entries @ q).entries for m in (inst.a, inst.v))
         return [
             # the path matrix M_1 = Q^T A Q + Q^T V Q that spectra solves
-            SymmetricMatrix(q.T @ inst.a.entries @ q) + SymmetricMatrix(q.T @ inst.v.entries @ q),
-            inst.perturbed(1.0),
+            SymmetricMatrix(qaq + qvq),
+            path_matrix(inst, 1.0),
             SymmetricMatrix(g @ g.T),
             SymmetricMatrix(np.zeros((n, n))),
             SymmetricMatrix.diagonal(np.resize([3.0, -1.0, 2.0, 0.0], n)),
-            SymmetricMatrix(sym + sym.T).scaled(1e-6),
+            SymmetricMatrix((sym + sym.T) * 1e-6),
         ]
 
     def test_stack_gives_the_bits_of_each_matrix_alone(self, kernel_calls):
@@ -562,7 +568,7 @@ class TestAllPairsSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in self.stack():
-                m = m.scaled(scale)
+                m = SymmetricMatrix(m.entries * scale)
                 dec = eigh(m)
                 if np.any(m.entries):
                     assert residual_and_defect(m.entries, dec)[0] <= 1e-12
@@ -672,7 +678,10 @@ class TestScaleInvariance:
     def test_scaled_instance_keeps_angle_and_hypotheses(self, s):
         base = rank_one_instance(8, convex_plan(8), 0.65, 11)
         unit, scaled = (
-            PerturbationInstance.build(base.a.scaled(f), base.v.scaled(f), base.sigma_indices)
+            PerturbationInstance.build(
+                SymmetricMatrix(base.a.entries * f), SymmetricMatrix(base.v.entries * f),
+                base.sigma_indices,
+            )
             for f in (1.0, s)
         )
         assert scaled.geometry == unit.geometry == CONVEX_SEPARATED

@@ -12,7 +12,6 @@ from specangles import (
     PortableRng,
     Projector,
     SymmetricMatrix,
-    angle_report,
     angle_reports,
     block_split,
     eigh,
@@ -22,71 +21,20 @@ from specangles import (
 from conftest import random_psd
 
 
-def line_projector(phi: float) -> Projector:
-    u = np.array([math.cos(phi), math.sin(phi)])
-    return Projector(SymmetricMatrix(np.outer(u, u)), rank=1)
-
-
 def haar_projector(n: int, rank: int, seed: int) -> Projector:
     q = PortableRng(seed).haar_orthogonal(n)
     cols = q[:, :rank]
     return Projector(SymmetricMatrix(cols @ cols.T), rank=rank)
 
 
-class TestAngleReport:
-    def test_rotated_line(self):
-        phi = 0.3
-        report = angle_report(line_projector(0.0), line_projector(phi))
-        assert report.max_angle == pytest.approx(phi, abs=1e-12)
-        assert report.sines[0] == pytest.approx(math.sin(phi), abs=1e-12)
-        assert report.sin2_norm == pytest.approx(math.sin(2 * phi), abs=1e-12)
-
-    def test_sines_sorted_descending_in_unit_interval(self):
-        p = haar_projector(8, 3, 1)
-        q = haar_projector(8, 3, 2)
-        report = angle_report(p, q)
-        assert np.all(np.diff(report.sines) <= 0.0)
-        assert report.sines[0] <= 1.0
-        assert report.sines[-1] >= 0.0
-
-    def test_identical_projectors(self):
-        p = haar_projector(6, 2, 3)
-        report = angle_report(p, p)
-        assert report.max_angle == 0.0
-        assert report.sin2_norm == 0.0
-
-    def test_orthogonal_ranges_hit_right_angle(self):
-        p = Projector(SymmetricMatrix.diagonal([1.0, 0.0]), rank=1)
-        q = Projector(SymmetricMatrix.diagonal([0.0, 1.0]), rank=1)
-        report = angle_report(p, q)
-        assert report.max_angle == pytest.approx(math.pi / 2, abs=1e-15)
-        assert report.sin2_norm == pytest.approx(0.0, abs=1e-12)
-
-    def test_one_singular_value_call_and_no_eigensolve(self, kernel_calls):
-        p, q = haar_projector(6, 2, 10), haar_projector(6, 3, 11)
-        angle_report(p, q)
-        assert kernel_calls == [("one-sided", (2, 6, 6))]
-        kernel_calls.clear()
-        assert angle_report(p, p).sines.tolist() == [0.0] * 6
-        assert kernel_calls == []
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            angle_report(haar_projector(4, 2, 4), haar_projector(5, 2, 5))
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_symmetry(self, seed):
-        p = haar_projector(6, 2, seed)
-        q = haar_projector(6, 4, seed + 1)
-        a = angle_report(p, q)
-        b = angle_report(q, p)
-        assert np.abs(a.sines - b.sines).max() < 1e-12
-
-
 def range_bases(p: Projector):
     vectors = np.linalg.eigh(p.matrix.entries)[1]
     return vectors[:, p.dim - p.rank :], vectors[:, : p.dim - p.rank]
+
+
+def line_bases(phi: float):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c], [s]]), np.array([[-s], [c]])
 
 
 def tiny_angle_pair(seed: int):
@@ -101,19 +49,44 @@ def tiny_angle_pair(seed: int):
 
 
 class TestAngleReportsFromBases:
-    @pytest.mark.parametrize("ranks", [(3, 3), (2, 5), (5, 2), (1, 6), (0, 4)])
-    def test_sines_are_the_spectrum_of_the_difference(self, ranks):
-        # projectors of any ranks go through angle_report; bases only at equal
-        # ranks, so they are checked with p drawn again at q's rank
+    def test_rotated_line(self):
+        phi = 0.3
+        report = angle_reports([(line_bases(0.0), line_bases(phi))])[0]
+        assert report.max_angle == pytest.approx(phi, abs=1e-12)
+        assert report.sines[0] == pytest.approx(math.sin(phi), abs=1e-12)
+        assert report.sin2_norm == pytest.approx(math.sin(2 * phi), abs=1e-12)
+
+    def test_orthogonal_lines_hit_right_angle(self):
+        eye = np.eye(2)
+        report = angle_reports([((eye[:, :1], eye[:, 1:]), (eye[:, 1:], eye[:, :1]))])[0]
+        assert report.sines.tolist() == [1.0, 1.0]
+        assert report.max_angle == math.pi / 2
+        assert report.sin2_norm == 0.0
+
+    def test_sines_sorted_descending_in_unit_interval(self):
+        p, q = (range_bases(haar_projector(8, 3, seed)) for seed in (1, 2))
+        sines = angle_reports([(p, q)])[0].sines
+        assert np.all(np.diff(sines) <= 0.0)
+        assert sines[0] <= 1.0
+        assert sines[-1] >= 0.0
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=25, deadline=None)
+    def test_swapping_the_sides_keeps_the_sines(self, seed, rank):
+        # (P, Q) solves U_perp_P^T U_Q and (Q, P) solves U_perp_Q^T U_P:
+        # different products with the same sines
+        p, q = (range_bases(haar_projector(6, rank, s)) for s in (seed, seed + 1))
+        forward, backward = angle_reports([(p, q), (q, p)])
+        assert np.abs(forward.sines - backward.sines).max() < 1e-12
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_sines_are_the_spectrum_of_the_difference(self, rank):
         for seed in range(5):
-            q = haar_projector(7, ranks[1], 200 + seed)
-            for p in (haar_projector(7, r, 100 + seed) for r in set(ranks)):
-                diff = p.matrix.entries - q.matrix.entries
-                expected = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1]
-                if p.rank == q.rank:
-                    report = angle_reports([(range_bases(p), range_bases(q))])[0]
-                    assert np.abs(report.sines - expected).max() < 1e-14
-                assert np.abs(angle_report(p, q).sines - expected).max() < 1e-14
+            p, q = (haar_projector(7, rank, offset + seed) for offset in (100, 200))
+            diff = p.matrix.entries - q.matrix.entries
+            expected = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1]
+            report = angle_reports([(range_bases(p), range_bases(q))])[0]
+            assert np.abs(report.sines - expected).max() < 1e-14
 
     def test_small_angle_keeps_relative_accuracy(self):
         p, q = tiny_angle_pair(0)
@@ -129,13 +102,6 @@ class TestAngleReportsFromBases:
         via_gram = np.sqrt(np.linalg.eigvalsh(s.T @ s).clip(0.0)).min()
         for shortcut in (via_cosines, via_gram):
             assert abs(shortcut / math.sin(1e-9) - 1.0) > 0.5
-        # the projector route keeps it too: the products (I - P)Q and P(I - Q)
-        # carry the small sine to the one-sided kernel without a cancellation
-        p_proj, q_proj = (
-            Projector(SymmetricMatrix(u @ u.T), rank=2) for u in (p[0], q[0])
-        )
-        sines = angle_report(p_proj, q_proj).sines
-        assert sines[2:4] == pytest.approx([math.sin(1e-9)] * 2, rel=1e-6, abs=0.0)
 
     def test_same_span_different_bases_has_zero_product(self):
         # the bases differ, but S = U_perp_s^T U_t is exactly zero

@@ -89,6 +89,12 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(C_CRIT_SEM + 1e-6)
 
+    @pytest.mark.parametrize("x, n_max", [(0.3, True), (0.0, 2.5)])
+    def test_non_integer_part_count_refused(self, x, n_max):
+        # True used to run as n_max = 1, and x = 0 returned before reading n_max
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            optimize(x, n_max)
+
     def test_matches_closed_form_across_pieces(self):
         # one probe inside each piece of the closed-form envelope plus the
         # endpoint, all far tighter than the acceptance tolerance
@@ -231,3 +237,9 @@ class TestRiemannLimit:
             riemann_limit_check(1.0, 4)
         with pytest.raises(ValueError):
             riemann_limit_check(0.5, 0)
+
+    @pytest.mark.parametrize("n", [0.5, True])
+    def test_non_integer_step_count_refused(self, n):
+        # True used to run as one step, and 0.5 raised "n must be at least 1"
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            riemann_limit_check(0.5, n)
