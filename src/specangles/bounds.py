@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import Iterable
 
@@ -511,16 +512,19 @@ def angle_bounds(v_norm: float, d: float, convex: bool) -> dict[str, float]:
 def truncate_digits(x: float, digits: int) -> str:
     """Decimal rendering truncated toward zero, matching how the critical
     constants are conventionally printed (0.45483996... prints as 0.4548399,
-    never rounded up). `digits` must be an integer (TypeError otherwise) with
-    |x| * 10**digits a finite float (ValueError otherwise)."""
+    never rounded up). What is truncated is repr(x), the shortest decimal
+    that reads back as x, so 0.29 at two digits prints as 0.29, not as the
+    0.28 of its binary value. `digits` must be an integer (TypeError
+    otherwise) with |x| * 10**digits a finite float (ValueError otherwise)."""
     digits = _index(digits)  # a Python int, so 10**digits cannot wrap as numpy's would
     if digits < 1:
         raise ValueError("digits must be positive")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     try:
-        scaled = math.trunc(abs(x) * 10**digits)
+        math.trunc(abs(x) * 10**digits)  # the range check; the digits come from repr(x)
     except OverflowError:
         raise ValueError(f"digits={digits} takes |x| * 10**digits past the float range") from None
+    scaled = int(Decimal(repr(abs(x))).scaleb(digits))  # int() truncates toward zero
     sign = "-" if x < 0 else ""
     return f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"

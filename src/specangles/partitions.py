@@ -8,6 +8,10 @@ prod(1 - lambda_j) = 1 - x. Each step admits the local angle cap
 infimum of this objective over all feasible partitions; optimize() is the
 numerical oracle for that infimum, independent of the closed form, and
 chain_demo() realizes partitions as actual projector paths P_{t_j}.
+
+optimize() rests on an exact reduction, argued in its docstring: in the log
+coordinate mu_j = -log(1 - lambda_j), a best partition with n parts has one
+free step and n - 1 equal ones, so one step per part count is searched.
 """
 
 from __future__ import annotations
@@ -21,16 +25,13 @@ from .core import _index
 
 LAMBDA_MAX = 2.0 / math.pi
 PRODUCT_TOL = 1e-8
+MU_MAX = -math.log1p(-LAMBDA_MAX)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Search effort of optimize(): two-level seed levels per part count, coarse
-# scan points and golden-section steps per pair move, descent cycles per seed,
-# and the number of best seeds refined besides the best seed of each count.
-SEED_SCAN = 17
+# Search effort of optimize(): coarse scan points and golden-section steps of
+# the one free step per part count.
 PAIR_GRID = 25
 GOLDEN_ITERS = 48
-DESCENT_CYCLES = 8
-POLISH_TOP = 6
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,6 @@ def make_plan(x: float, lambdas) -> PartitionPlan:
     return PartitionPlan(x=x, lambdas=out, objective=_objective(out))
 
 
-def _pair_window(r: float) -> tuple[float, float]:
-    # Feasible range for u = 1 - lambda_i when the partner is eliminated via
-    # (1 - lambda_i)(1 - lambda_j) = r and both steps must stay in [0, 2/pi].
-    lo = max(1.0 - LAMBDA_MAX, r)
-    hi = min(1.0, r / (1.0 - LAMBDA_MAX))
-    return lo, hi
-
-
-def _pair_objective(u: float, r: float) -> float:
-    # At the window endpoints rounding can push an argument a few ulp past 1;
-    # clamping there shifts the objective by O(ulp) only.
-    a = min(1.0, math.pi * (1.0 - u) / 2.0)
-    b = min(1.0, math.pi * (1.0 - r / u) / 2.0)
-    return 0.5 * (math.asin(a) + math.asin(b))
-
-
 def _golden_min(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -127,40 +112,10 @@ def _golden_min(f, lo: float, hi: float) -> float:
             fd = f(d)
     return 0.5 * (a + b)
 
-def _pair_move(lams: list[float], i: int, j: int) -> bool:
-    # The pair objective can be bimodal around the symmetric point, so a
-    # coarse scan picks the basin before golden-section refines it.
-    r = (1.0 - lams[i]) * (1.0 - lams[j])
-    lo, hi = _pair_window(r)
-    if hi - lo < 1e-15:
-        return False
-    best_u = 1.0 - lams[i]
-    best_f = _pair_objective(best_u, r)
-    step = (hi - lo) / (PAIR_GRID - 1)
-    scan_u, scan_f = best_u, best_f
-    for k in range(PAIR_GRID):
-        u = lo + k * step
-        fu = _pair_objective(u, r)
-        if fu < scan_f:
-            scan_u, scan_f = u, fu
-    u = _golden_min(
-        lambda v: _pair_objective(v, r),
-        max(lo, scan_u - step),
-        min(hi, scan_u + step),
-    )
-    fu = _pair_objective(u, r)
-    if fu >= best_f - 1e-15:
-        return False
-    lams[i] = 1.0 - u
-    lams[j] = 1.0 - r / u
-    return True
-
 
 def _renormalize(lams: list[float], x: float) -> bool:
-    # Pin the product constraint exactly on the largest step; reject the
-    # iterate if repair would push that step out of range.
-    if not lams:
-        return x == 0.0
+    # Pin the product constraint exactly on the largest step of a nonempty
+    # partition; refuse it if repair would push that step out of range.
     j = max(range(len(lams)), key=lambda k: lams[k])
     rest = math.prod(1.0 - lams[k] for k in range(len(lams)) if k != j)
     if rest <= 0.0:
@@ -172,38 +127,45 @@ def _renormalize(lams: list[float], x: float) -> bool:
     return True
 
 
-def _equal_split(x: float, n: int) -> list[float] | None:
-    lam = 1.0 - (1.0 - x) ** (1.0 / n)
-    if lam > LAMBDA_MAX:
-        return None
-    return [lam] * n
+def _cap(mu: float) -> float:
+    # One step's cap at mu = -log(1 - lambda), clamped where rounding passes 1.
+    return 0.5 * math.asin(min(1.0, -0.5 * math.pi * math.expm1(-mu)))
 
 
-def _two_level_seeds(x: float, n: int) -> list[list[float]]:
-    # k steps pinned at a common value a, the rest equal at the b solving the
-    # product constraint; scan a over the admissible range.
-    out = []
-    for k in range(1, n):
-        for idx in range(1, SEED_SCAN + 1):
-            a = LAMBDA_MAX * idx / (SEED_SCAN + 1)
-            rem = (1.0 - x) / (1.0 - a) ** k
-            if not (1.0 - LAMBDA_MAX) ** (n - k) <= rem <= 1.0:
-                continue
-            b = 1.0 - rem ** (1.0 / (n - k))
-            out.append([a] * k + [b] * (n - k))
-    return out
+def _split_plans(x: float, total: float, n: int):
+    # The n-part equal split, then the best n-part plan with one free step a
+    # and n - 1 steps at (total - a)/(n - 1), all in mu: a coarse scan of a,
+    # since the sum can have two basins, refined by golden section.
+    yield make_plan(x, [-math.expm1(-total / n)] * n)
+    if n == 1:
+        return
+
+    def cost(a: float) -> float:
+        return _cap(a) + (n - 1) * _cap((total - a) / (n - 1))
+
+    lo = max(0.0, total - (n - 1) * MU_MAX)
+    hi = min(MU_MAX, total)
+    step = (hi - lo) / (PAIR_GRID - 1)
+    scan = min((lo + k * step for k in range(PAIR_GRID)), key=cost)
+    a = _golden_min(cost, max(lo, scan - step), min(hi, scan + step))
+    yield make_plan(x, [-math.expm1(-a)] + [-math.expm1((a - total) / (n - 1))] * (n - 1))
 
 
 def optimize(x: float, n_max: int = 8) -> PartitionPlan:
     """Numerically approach the partition infimum for ratio x.
 
-    Seeds every part count n = 1..n_max with the equal split plus two-level
-    splits, then refines the most promising seeds by cyclic pair descent: each
-    move redistributes product mass inside one pair of steps, eliminating the
-    partner through the constraint so every iterate stays feasible. Returns
-    the best feasible plan found; its objective is an upper bound for the true
-    infimum by construction. Ties break deterministically by
-    (objective, part count, lexicographic steps).
+    In mu_j = -log(1 - lambda_j) the constraint reads sum mu_j = -log(1 - x),
+    and one step's cap (1/2)*arcsin(pi*(1 - exp(-mu))/2) is concave in mu
+    below lambda = 4/pi^2 and convex above it. So a minimizer with n parts
+    has at most one step in the concave part, since two there could trade
+    mass and lower the sum; its other steps share one derivative on the
+    convex part, where the derivative increases, and so one value; no step
+    sits at 2/pi, where the derivative is infinite; a zero step drops out to
+    n - 1 parts. For each n = 1..n_max this leaves one free step a with the
+    other n - 1 at (-log(1 - x) - a)/(n - 1): optimize() tries the equal
+    split, scans a coarsely and refines the best scan point by golden
+    section. It returns the best plan over n, the one with fewer parts on a
+    tie; its objective is an upper bound for the true infimum.
     """
     if not 0.0 <= x <= C_CRIT_SEM:
         raise ValueError(f"x={x!r} outside [0, {C_CRIT_SEM!r}]")
@@ -211,47 +173,14 @@ def optimize(x: float, n_max: int = 8) -> PartitionPlan:
         raise ValueError("n_max must be at least 1")
     if x == 0.0:
         return PartitionPlan(x=0.0, lambdas=(), objective=0.0)
-
-    seeds: list[list[float]] = []
-    for n in range(1, n_max + 1):
-        equal = _equal_split(x, n)
-        if equal is not None:
-            seeds.append(equal)
-        seeds.extend(_two_level_seeds(x, n))
-    if not seeds:
+    total = -math.log1p(-x)
+    feasible = [n for n in range(1, n_max + 1) if total <= n * MU_MAX]
+    plans = [plan for n in feasible for plan in _split_plans(x, total, n)]
+    if not plans:
         raise ValueError(f"no feasible partition with at most {n_max} parts")
-
-    def key(lams: list[float]):
-        return (_objective(lams), len(lams), tuple(sorted(lams, reverse=True)))
-
-    seeds.sort(key=key)
-    chosen: list[list[float]] = []
-    seen_n = set()
-    for lams in seeds:
-        top = len(chosen) < POLISH_TOP
-        first_of_n = len(lams) not in seen_n
-        if top or first_of_n:
-            chosen.append(lams)
-            seen_n.add(len(lams))
-
-    best: list[float] = chosen[0]
-    best_obj = _objective(best)
-    for lams in chosen:
-        lams = list(lams)
-        current = _objective(lams)
-        for _ in range(DESCENT_CYCLES):
-            before = current
-            for i in range(len(lams) - 1):
-                for j in range(i + 1, len(lams)):
-                    if _pair_move(lams, i, j) and not _renormalize(lams, x):
-                        raise AssertionError("refinement left the feasible set")
-            current = _objective(lams)
-            if before - current < 1e-13:
-                break
-        if (current, len(lams)) < (best_obj, len(best)):
-            best, best_obj = lams, current
-
-    return make_plan(x, tuple(sorted(best, reverse=True)))
+    best = min(plans, key=lambda plan: plan.objective)
+    # make_plan's repair can move the largest step an ulp below the next
+    return PartitionPlan(x, tuple(sorted(best.lambdas, reverse=True)), best.objective)
 
 
 def chain_demo(inst: PerturbationInstance, t_grid) -> ChainPlan:

@@ -93,6 +93,21 @@ class TestConstants:
         with pytest.raises(ValueError):
             truncate_digits(1.0, 0)
 
+    @pytest.mark.parametrize(
+        "x, digits, text",
+        [
+            (0.29, 2, "0.29"),
+            (0.57, 2, "0.57"),
+            (1.15, 2, "1.15"),
+            (-0.29, 2, "-0.29"),
+            (0.7, 1, "0.7"),
+        ],
+    )
+    def test_truncation_reads_the_shortest_decimal(self, x, digits, text):
+        # each binary value lies just below its decimal, and 0.29 * 100 rounds
+        # to 28.999999999999996, which truncated to 0.28
+        assert truncate_digits(x, digits) == text
+
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_truncation_refuses_non_finite_values(self, x):
         with pytest.raises(ValueError, match=f"x must be finite, got {x}"):

@@ -463,12 +463,12 @@ PINNED_OUTPUTS = {
     ("sharpness", "json"): (0, "3cd3a1c1361ac534aad1a50d2671014f3c81b2b76cd4d3747adc6beb00bc1390"),
     ("sharpness", "csv"): (0, "d88e73601052411af92f36c1429b614bea0206261dbd71935176b37fe5857055"),
     ("sharpness", "pretty"): (0, "b78f6b185ef376d751481f9d4a380425f1551ec3269158b5a95b946df2e296ad"),
-    ("optimize", "json"): (0, "332d4f77515064784059eff6d9650c5b6bd818af446b72d7ce024ac2bc8ec037"),
-    ("optimize", "csv"): (0, "a18aa73ffa0508fe4d2e3cb02ca37d7f1e8e1d479e1d232fe353c32719182925"),
-    ("optimize", "pretty"): (0, "35a16505ab37896791e98de3371bc7fc94a7a9c15fdb42e9724f33d1dad50393"),
-    ("optimize-failing", "json"): (1, "f7a8c16d78ee60864985891c36af024682524d035713c8f4376c0758df9b920a"),
+    ("optimize", "json"): (0, "3c5a8d1921995d5728f56737d81ad08ed6e50444df754681493b7ec8ee0fa0b5"),
+    ("optimize", "csv"): (0, "e13491cb58ed1ec4776c6d9472e21e4a7ff6f4447bcc1bdd18eea368650991cb"),
+    ("optimize", "pretty"): (0, "33e7bc527c95b1213797f80299a065d335522b0beae37c55a948aa502bedc0b0"),
+    ("optimize-failing", "json"): (1, "9eef2931a48234c523bd67b7f00c5f74fda83a5cf7413707f883f4d3381ee45c"),
     ("optimize-failing", "csv"): (1, "1ff5e9c5d2de27c048781797d24e8ff0271eaa068b44a24f01163e827f515551"),
-    ("optimize-failing", "pretty"): (1, "69f92fb9f1351fda20a6000602b7086974934c4756d7305c1a18bcca77cca55a"),
+    ("optimize-failing", "pretty"): (1, "dbad7bace470e343f4e11704ba3a9717aab277897dd897cabdbb46ac5afb1773"),
     ("verify", "json"): (0, "197a1462e91b4ce8662d2e8a1e5b5e8195eb16239c0b992cd8021296555ab3b7"),
     ("verify", "csv"): (0, "13dad319d05c9d579db44a24b2e2f9e51d56067f589f9cb621c1634136c0556d"),
     ("verify", "pretty"): (0, "33a6a67353980b8c15ce5579190aa631ff2deb604d8f916b2ac6e9b9d4762b71"),

@@ -1,5 +1,6 @@
-"""Step partitions, the descent optimizer, and projector chain walks."""
+"""Step partitions, the partition optimizer, and projector chain walks."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from specangles import (
     C_CRIT_SEM,
     N_eval,
     PerturbationInstance,
+    PortableRng,
     SymmetricMatrix,
     angle_reports,
     chain_demo,
@@ -132,6 +134,40 @@ class TestOptimize:
         plan = optimize(0.88)
         assert all(b <= a for a, b in zip(plan.lambdas, plan.lambdas[1:]))
         assert all(0.0 <= v <= LAMBDA_MAX for v in plan.lambdas)
+
+
+# x in each of the four pieces of N(x/2), whose breakpoints lie near x = 0.577,
+# 0.646 and 0.820, and at the right endpoint
+PIECE_PROBES = (0.3, 0.55, 0.6, 0.63, 0.7, 0.8, 0.85, 0.9, C_CRIT_SEM)
+
+
+class TestOptimizeAgainstRandomPartitions:
+    @pytest.mark.parametrize("x", PIECE_PROBES)
+    def test_no_random_partition_beats_it(self, x):
+        # feasible partitions with 1-5 parts, uniform on the simplex of
+        # mu_j = -log(1 - lambda_j); each is checked against the optimizer at
+        # its own part count and at the default n_max
+        rng = PortableRng(round(x * 1e6))
+        total = -math.log1p(-x)
+        best = functools.cache(lambda n_max: optimize(x, n_max).objective)
+        drawn = 0
+        for parts in range(1, 6):
+            for _ in range(60):
+                weights = -np.log1p(-rng.uniforms(parts))
+                lams = -np.expm1(-total * weights / weights.sum())
+                if lams.max() > LAMBDA_MAX:
+                    continue
+                drawn += 1
+                objective = make_plan(x, lams).objective
+                for n_max in (parts, 8):
+                    assert objective >= best(n_max) - 1e-12
+        assert drawn >= 40
+
+    @pytest.mark.parametrize("x", PIECE_PROBES)
+    def test_more_parts_than_eight_find_nothing_better(self, x):
+        wide = optimize(x, n_max=64)
+        assert wide.objective == pytest.approx(optimize(x).objective, abs=1e-15)
+        assert len(wide.lambdas) <= 3
 
 
 def sharpness_instance(v: float) -> PerturbationInstance:
